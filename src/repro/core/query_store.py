@@ -19,12 +19,14 @@ cheap object access (miner, recommender, maintenance).
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats
 from repro.errors import MetaQueryError, ReproError
 from repro.sql.canonicalize import canonical_text
 from repro.sql.features import extract_features
 from repro.sql.parser import parse
-from repro.storage.database import Database, QueryResult
+from repro.storage.database import Database, QueryResult, WriteBatch
 from repro.storage.plan_cache import DEFAULT_PLAN_CACHE_SIZE
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.types import DataType
@@ -133,6 +135,8 @@ class QueryStore:
     feature row goes through the write-ahead log, and reopening the same
     directory recovers the relations and rebuilds the in-memory record index
     from them — the paper's long-lived shared repository survives restarts.
+    Logging a query is one :class:`~repro.storage.database.WriteBatch` (one
+    WAL record), so after a crash every qid is in all relations or in none.
     """
 
     def __init__(
@@ -382,14 +386,10 @@ class QueryStore:
         return qid in self._records
 
     def next_qid(self) -> int:
+        """Reserve a qid.  The durable high-water mark advances with the
+        batch that logs the query (:meth:`add`)."""
         qid = self._next_qid
         self._next_qid += 1
-        # Keep the durable high-water mark current: qids must stay unique
-        # for the life of the store, not just of this process (max(qid)
-        # over surviving rows would march backwards after removals).
-        self._meta_db.table("StoreMeta").update(
-            self._next_qid_row_id, {"value": self._next_qid}
-        )
         return qid
 
     def _init_store_meta(self) -> int:
@@ -424,9 +424,23 @@ class QueryStore:
     # -- ingest -----------------------------------------------------------------
 
     def add(self, record: LoggedQuery) -> None:
-        """Insert a logged query and shred its features into the relations."""
+        """Log a query: shred its features into the relations as one batch.
+
+        The rows of every relation and the advanced ``next_qid`` high-water
+        mark are applied and logged all or none; the in-memory index and the
+        per-user telemetry series change only after the batch committed.
+        """
         if record.qid in self._records:
             raise MetaQueryError(f"duplicate query id {record.qid}")
+        writes = WriteBatch()
+        self._shred(writes, record)
+        # qids must stay unique for the life of the store, not just of this
+        # process (max(qid) over surviving rows would march backwards after
+        # removals), so the high-water mark commits with the query's rows.
+        high_water = max(self._next_qid, record.qid + 1)
+        writes.update("StoreMeta", self._next_qid_row_id, {"value": high_water})
+        self._meta_db.apply_batch(writes)
+        self._next_qid = high_water
         self._records[record.qid] = record
         self._qids_by_user.setdefault(record.user, set()).add(record.qid)
         self._qids_by_group.setdefault(record.group, set()).add(record.qid)
@@ -454,11 +468,16 @@ class QueryStore:
                     "logged queries that failed, per user",
                     user=record.user,
                 ).inc()
-        self._meta_db.insert_rows(
+
+    @staticmethod
+    def _shred(writes: WriteBatch, record: LoggedQuery) -> None:
+        """Add the feature-relation rows of ``record`` to ``writes``."""
+        qid = record.qid
+        writes.insert(
             "Queries",
             [
                 {
-                    "qid": record.qid,
+                    "qid": qid,
                     "qText": record.text,
                     "userName": record.user,
                     "groupName": record.group,
@@ -474,22 +493,21 @@ class QueryStore:
         if record.features is None:
             return
         features = record.features
-        self._meta_db.insert_rows(
-            "DataSources",
-            [{"qid": record.qid, "relName": table} for table in features.tables],
+        writes.insert(
+            "DataSources", [{"qid": qid, "relName": table} for table in features.tables]
         )
-        self._meta_db.insert_rows(
+        writes.insert(
             "Attributes",
             [
-                {"qid": record.qid, "attrName": attribute, "relName": relation}
+                {"qid": qid, "attrName": attribute, "relName": relation}
                 for attribute, relation in features.attributes
             ],
         )
-        self._meta_db.insert_rows(
+        writes.insert(
             "Predicates",
             [
                 {
-                    "qid": record.qid,
+                    "qid": qid,
                     "attrName": predicate.attribute,
                     "relName": predicate.relation,
                     "op": predicate.op,
@@ -498,31 +516,32 @@ class QueryStore:
                 for predicate in features.predicates
             ],
         )
-        self._meta_db.insert_rows(
+        writes.insert(
             "Projections",
             [
-                {"qid": record.qid, "attrName": attribute, "relName": relation}
+                {"qid": qid, "attrName": attribute, "relName": relation}
                 for attribute, relation in features.projections
             ],
         )
-        self._meta_db.insert_rows(
+        joins = [join.normalized() for join in features.joins]
+        writes.insert(
             "Joins",
             [
                 {
-                    "qid": record.qid,
-                    "leftRel": join.normalized().left_relation,
-                    "leftAttr": join.normalized().left_attribute,
-                    "rightRel": join.normalized().right_relation,
-                    "rightAttr": join.normalized().right_attribute,
+                    "qid": qid,
+                    "leftRel": join.left_relation,
+                    "leftAttr": join.left_attribute,
+                    "rightRel": join.right_relation,
+                    "rightAttr": join.right_attribute,
                 }
-                for join in features.joins
+                for join in joins
             ],
         )
-        self._meta_db.insert_rows(
+        writes.insert(
             "RuntimeStats",
             [
                 {
-                    "qid": record.qid,
+                    "qid": qid,
                     "elapsedSeconds": record.runtime.elapsed_seconds,
                     "cardinality": record.runtime.result_cardinality,
                     "rowsScanned": record.runtime.rows_scanned,
@@ -531,28 +550,30 @@ class QueryStore:
             ],
         )
         if record.output is not None and record.output.rows:
-            sample_rows = []
-            for row_index, row in enumerate(record.output.rows):
-                for column_name, cell in zip(record.output.columns, row):
-                    sample_rows.append(
-                        {
-                            "qid": record.qid,
-                            "rowIndex": row_index,
-                            "columnName": column_name,
-                            "cellValue": _constant_text(cell),
-                        }
-                    )
-            self._meta_db.insert_rows("OutputSamples", sample_rows)
+            columns = record.output.columns
+            writes.insert(
+                "OutputSamples",
+                [
+                    {
+                        "qid": qid,
+                        "rowIndex": row_index,
+                        "columnName": column_name,
+                        "cellValue": _constant_text(cell),
+                    }
+                    for row_index, row in enumerate(record.output.rows)
+                    for column_name, cell in zip(columns, row)
+                ],
+            )
 
     # -- annotations ----------------------------------------------------------------
 
     def add_annotation(self, qid: int, author: str, body: str, timestamp: float = 0.0) -> None:
         record = self.get(qid)
-        record.annotations.append(body)
         self._meta_db.insert_rows(
             "Annotations",
             [{"qid": qid, "author": author, "ts": timestamp, "body": body}],
         )
+        record.annotations.append(body)
 
     def annotations_for(self, qid: int) -> list[str]:
         return list(self.get(qid).annotations)
@@ -560,13 +581,15 @@ class QueryStore:
     # -- sessions ----------------------------------------------------------------------
 
     def record_sessions(self, sessions) -> None:
-        """Persist mined sessions and their edges (replacing previous ones)."""
-        self._meta_db.execute("DELETE FROM Sessions")
-        self._meta_db.execute("DELETE FROM SessionEdges")
-        session_rows = []
-        edge_rows = []
-        for session in sessions:
-            session_rows.append(
+        """Persist mined sessions and their edges, replacing previous ones,
+        as one batch."""
+        writes = WriteBatch()
+        for name in ("Sessions", "SessionEdges"):
+            for row_id, _ in list(self._meta_db.table(name).scan()):
+                writes.delete(name, row_id)
+        writes.insert(
+            "Sessions",
+            [
                 {
                     "sessionId": session.session_id,
                     "userName": session.user,
@@ -574,24 +597,28 @@ class QueryStore:
                     "endTs": session.end_time,
                     "numQueries": len(session.qids),
                 }
-            )
-            for edge in session.edges:
-                edge_rows.append(
-                    {
-                        "sessionId": session.session_id,
-                        "fromQid": edge.from_qid,
-                        "toQid": edge.to_qid,
-                        "edgeType": edge.edge_type,
-                        "diffSummary": edge.diff_summary,
-                    }
-                )
+                for session in sessions
+            ],
+        )
+        writes.insert(
+            "SessionEdges",
+            [
+                {
+                    "sessionId": session.session_id,
+                    "fromQid": edge.from_qid,
+                    "toQid": edge.to_qid,
+                    "edgeType": edge.edge_type,
+                    "diffSummary": edge.diff_summary,
+                }
+                for session in sessions
+                for edge in session.edges
+            ],
+        )
+        self._meta_db.apply_batch(writes)
+        for session in sessions:
             for qid in session.qids:
                 if qid in self._records:
                     self._records[qid].session_id = session.session_id
-        if session_rows:
-            self._meta_db.insert_rows("Sessions", session_rows)
-        if edge_rows:
-            self._meta_db.insert_rows("SessionEdges", edge_rows)
 
     # -- maintenance hooks -----------------------------------------------------------------
 
@@ -679,19 +706,27 @@ class QueryStore:
                 },
             )
 
-    def remove(self, qid: int) -> list[dict]:
-        """Remove a query and all its shredded features.
+    def remove(self, qid: int) -> None:
+        """Remove a query and all its shredded features, as one batch.
 
         Session rows referencing the query are cleaned up too: its
         ``SessionEdges`` are deleted and the owning session's ``numQueries``
         is decremented, so meta-SQL over the session relations never sees
-        edges pointing at a query that no longer exists.  Returns copies of
-        the deleted edge rows (``replace_text`` restores them after a repair).
+        edges pointing at a query that no longer exists.
         """
         record = self.get(qid)
+        writes = WriteBatch()
+        self._unshred(writes, qid)
+        if record.session_id is not None:
+            self._adjust_session_count(writes, record.session_id, -1)
+        self._meta_db.apply_batch(writes)
         del self._records[qid]
         self._qids_by_user.get(record.user, set()).discard(qid)
         self._qids_by_group.get(record.group, set()).discard(qid)
+
+    def _unshred(self, writes: WriteBatch, qid: int) -> list[dict]:
+        """Add deletes of every row of ``qid`` (features, annotations and
+        session edges) to ``writes``; returns copies of the edge rows."""
         for table_name in (
             "Queries",
             "DataSources",
@@ -703,27 +738,21 @@ class QueryStore:
             "OutputSamples",
             "Annotations",
         ):
-            table = self._meta_db.table(table_name)
-            for row_id in self._feature_row_ids(table, qid):
-                table.delete(row_id)
-        edges = self._meta_db.table("SessionEdges")
-        dangling = [
-            (row_id, dict(row))
-            for row_id, row in list(edges.scan())
-            if row["fromQid"] == qid or row["toQid"] == qid
-        ]
-        for row_id, _ in dangling:
-            edges.delete(row_id)
-        if record.session_id is not None:
-            self._adjust_session_count(record.session_id, -1)
-        return [row for _, row in dangling]
+            for row_id in self._feature_row_ids(self._meta_db.table(table_name), qid):
+                writes.delete(table_name, row_id)
+        edge_rows = []
+        for row_id, row in list(self._meta_db.table("SessionEdges").scan()):
+            if row["fromQid"] == qid or row["toQid"] == qid:
+                writes.delete("SessionEdges", row_id)
+                edge_rows.append(dict(row))
+        return edge_rows
 
-    def _adjust_session_count(self, session_id: int, delta: int) -> None:
-        """Shift a session's ``numQueries`` after adding/removing a member."""
-        sessions = self._meta_db.table("Sessions")
-        for row_id, row in list(sessions.scan()):
+    def _adjust_session_count(self, writes: WriteBatch, session_id: int, delta: int) -> None:
+        """Add the shift of a session's ``numQueries`` to ``writes``."""
+        for row_id, row in self._meta_db.table("Sessions").scan():
             if row["sessionId"] == session_id:
-                sessions.update(
+                writes.update(
+                    "Sessions",
                     row_id,
                     {"numQueries": max(0, (row["numQueries"] or 0) + delta)},
                 )
@@ -740,35 +769,32 @@ class QueryStore:
     def replace_text(self, qid: int, new_text: str, features, canonical: str, template: str) -> None:
         """Replace a repaired query's text and re-shred its features.
 
-        The repaired query keeps its identity: annotation rows, session
-        edges, and the session membership captured before the remove/add
-        cycle are restored afterwards — both on the in-memory record and in
-        the feature relations, so meta-SQL over ``Annotations`` and
-        ``SessionEdges`` stays consistent with the record index.
+        One batch deletes the old rows and logs the repaired ones.  The
+        repaired query keeps its identity: annotation rows, session edges
+        and session membership are carried over, so meta-SQL over
+        ``Annotations`` and ``SessionEdges`` stays consistent with the
+        record index.
         """
         record = self.get(qid)
-        annotations = list(record.annotations)
         annotation_rows = [
             dict(row) for row in self._meta_db.table("Annotations").lookup("qid", qid)
         ]
-        session_id = record.session_id
-        edge_rows = self.remove(qid)
-        record.text = new_text
-        record.features = features
-        record.canonical_text = canonical
-        record.template_text = template
-        record.flagged_invalid = False
-        record.invalid_reason = None
-        record.annotations = []
-        self.add(record)
-        record.annotations = annotations
-        record.session_id = session_id
-        if annotation_rows:
-            self._meta_db.insert_rows("Annotations", annotation_rows)
-        if edge_rows:
-            self._meta_db.insert_rows("SessionEdges", edge_rows)
-        if session_id is not None:
-            self._adjust_session_count(session_id, +1)
+        repairs = {
+            "text": new_text,
+            "features": features,
+            "canonical_text": canonical,
+            "template_text": template,
+            "flagged_invalid": False,
+            "invalid_reason": None,
+        }
+        writes = WriteBatch()
+        edge_rows = self._unshred(writes, qid)
+        self._shred(writes, dataclasses.replace(record, **repairs))
+        writes.insert("Annotations", annotation_rows)
+        writes.insert("SessionEdges", edge_rows)
+        self._meta_db.apply_batch(writes)
+        for name, value in repairs.items():
+            setattr(record, name, value)
 
     # -- statistics --------------------------------------------------------------------------
 

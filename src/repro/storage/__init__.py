@@ -33,7 +33,7 @@ from repro.storage.exec_settings import ExecutionSettings
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.catalog import Catalog, SchemaChange
 from repro.storage.table import Table
-from repro.storage.database import Database, QueryResult, ExecutionStats
+from repro.storage.database import Database, ExecutionStats, QueryResult, WriteBatch
 from repro.storage.plan_cache import PlanCache, PlanCacheStats
 from repro.storage.planner import PlanExplanation, Planner, SelectPlan
 from repro.storage.recovery import RecoveryReport
@@ -51,6 +51,7 @@ __all__ = [
     "Database",
     "QueryResult",
     "ExecutionStats",
+    "WriteBatch",
     "PlanCache",
     "PlanCacheStats",
     "PlanExplanation",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.errors import (
     CatalogError,
@@ -140,6 +141,29 @@ class QueryResult:
         return [row[index] for row in self.rows]
 
 
+class WriteBatch:
+    """Row mutations over several tables, applied and logged as one unit.
+
+    Collect inserts, updates and deletes (applied in call order), then hand
+    the batch to :meth:`Database.apply_batch`.
+    """
+
+    def __init__(self):
+        #: ``(kind, table, payload)`` in call order.
+        self.ops: list[tuple[str, str, object]] = []
+
+    def insert(self, table: str, rows) -> None:
+        rows = list(rows)
+        if rows:
+            self.ops.append(("insert", table, rows))
+
+    def update(self, table: str, row_id: int, changes: dict[str, object]) -> None:
+        self.ops.append(("update", table, (row_id, changes)))
+
+    def delete(self, table: str, row_id: int) -> None:
+        self.ops.append(("delete", table, row_id))
+
+
 class Database:
     """A relational database with a SQL interface (in-memory or durable).
 
@@ -176,7 +200,7 @@ class Database:
         self._wal: WalWriter | None = None
         self._lock: DirectoryLock | None = None
         self._checkpoint_interval = 0
-        #: Replayed WAL records still counted in records_since_checkpoint.
+        #: Replayed WAL rows still counted in records_since_checkpoint.
         #: They press toward a checkpoint, but never a synchronous one on the
         #: statement path — see _maybe_checkpoint / checkpoint_if_due.
         self._recovered_backlog = 0
@@ -217,7 +241,8 @@ class Database:
         snapshot plus the committed WAL tail — and attaches the write-ahead
         log so every subsequent mutation is logged under ``wal_sync``
         (``"off"`` | ``"commit"`` | ``"batch"``).  ``checkpoint_interval``
-        > 0 auto-checkpoints after that many logged records.
+        > 0 auto-checkpoints after that many logged rows (a batch record
+        weighs the rows it carries).
         """
         if checkpoint_interval < 0:
             raise DurabilityError("checkpoint_interval must be non-negative")
@@ -256,14 +281,14 @@ class Database:
         database._wal = wal
         database._checkpoint_interval = checkpoint_interval
         database.last_recovery = report
-        # Records already sitting in the log count against the checkpoint
+        # Rows already sitting in the log count against the checkpoint
         # interval — otherwise a crash-reopen loop that writes fewer than
-        # `interval` records per life would grow the WAL (and recovery time)
+        # `interval` rows per life would grow the WAL (and recovery time)
         # without bound.  They are remembered as backlog so they press toward
         # the open-time checkpoint below (and checkpoint_if_due), never a
         # synchronous checkpoint inside the first post-recovery statement.
-        wal.stats.records_since_checkpoint = report.wal_records_scanned
-        database._recovered_backlog = report.wal_records_scanned
+        wal.stats.records_since_checkpoint = report.wal_rows_scanned
+        database._recovered_backlog = report.wal_rows_scanned
         database._maybe_checkpoint(include_recovered=True)
         for table in database._tables.values():
             table.wal_emit = database._wal_append
@@ -411,10 +436,10 @@ class Database:
             )
 
     def _maybe_checkpoint(self, include_recovered: bool = False) -> None:
-        """Auto-checkpoint once enough records accumulated since the last one.
+        """Auto-checkpoint once enough rows were logged since the last one.
 
-        On the statement path (``include_recovered=False``) only records
-        logged *by this process* count: replayed WAL records press toward a
+        On the statement path (``include_recovered=False``) only rows
+        logged *by this process* count: replayed WAL rows press toward a
         checkpoint too, but they were already paid for once — triggering a
         synchronous checkpoint inside the first post-recovery statement
         would bill recovery's backlog to an arbitrary unlucky query.  The
@@ -508,15 +533,72 @@ class Database:
         self._tables.pop(name.lower()).drop_storage()
 
     def insert_rows(self, table_name: str, rows) -> int:
-        """Bulk-insert dictionaries into a table; returns the number inserted."""
+        """Bulk-insert dictionaries into a table; returns the number inserted.
+
+        Every row is coerced and unique-checked (against the table and the
+        other rows) before any is applied, so bad input inserts nothing.
+        Each row is logged as its own WAL record.
+        """
         self._assert_open()
         table = self.table(table_name)
-        count = 0
-        for row in rows:
-            table.insert(row)
-            count += 1
+        prepared = table.prepare_rows(rows)
+        for row in prepared:
+            table.insert_prepared(row)
         self._maybe_checkpoint()
-        return count
+        return len(prepared)
+
+    def apply_batch(self, batch: WriteBatch) -> None:
+        """Apply every mutation of ``batch``, logged as **one** WAL record.
+
+        All or none: a rejected row (coercion, unique check) or a failed
+        WAL append undoes every mutation already applied before the error
+        propagates.  Inserts into a table take consecutive row ids and are
+        placed page by page; the record carries, per insert, the column
+        names, the first row id and the value lists, and weighs as many rows
+        as it carries against group commit and the checkpoint interval.
+        """
+        self._assert_open()
+        logged = self._wal is not None
+        entries: list[dict] = []
+        undo: list = []
+        try:
+            for kind, name, payload in batch.ops:
+                table = self.table(name)
+                if kind == "insert":
+                    prepared = table.prepare_rows(payload)
+                    first = table.next_row_id
+                    table.place_rows(first, prepared)
+                    undo.append(partial(table.unplace_rows, first, prepared))
+                    if logged:
+                        entries.append({
+                            "op": "insert",
+                            "tbl": table.name,
+                            "cols": table.schema.column_names,
+                            "rid": first,
+                            "rows": [list(row.values()) for row in prepared],
+                        })
+                elif kind == "update":
+                    row_id, changes = payload
+                    applied = table.apply_update(row_id, changes)
+                    if applied is None:
+                        continue
+                    undo.append(partial(table.undo_update, row_id, applied[0]))
+                    entries.append(
+                        {"op": "update", "tbl": table.name, "rid": row_id, "set": applied[1]}
+                    )
+                else:
+                    row = table.apply_delete(payload)
+                    if row is None:
+                        continue
+                    undo.append(partial(table.place_rows, payload, [row]))
+                    entries.append({"op": "delete", "tbl": table.name, "rid": payload})
+            if logged and entries:
+                self._wal.append({"op": "batch", "ops": entries})
+        except BaseException:
+            for step in reversed(undo):
+                step()
+            raise
+        self._maybe_checkpoint()
 
     def statistics(self, table_name: str, refresh: bool = False) -> TableStatistics:
         return self.table(table_name).statistics(refresh=refresh)

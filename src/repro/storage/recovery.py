@@ -12,7 +12,8 @@ here:
    at or below the snapshot's are skipped (they are already inside it, which
    makes a crash between "snapshot renamed" and "log truncated" harmless),
    the rest are re-applied in order, and the scan stops cleanly at the first
-   torn or corrupt record — exactly the committed prefix survives,
+   torn or corrupt record — exactly the committed prefix survives (a batch
+   record is one CRC-checked unit, so its mutations come back all or none),
 4. hand the writer the valid log length so the torn tail is truncated before
    anything new is appended.
 
@@ -37,7 +38,7 @@ from repro.storage.snapshot import (
     schema_from_dict,
 )
 from repro.storage.table import Table
-from repro.storage.wal import WAL_FILE_NAME, WalRecord, read_wal
+from repro.storage.wal import WAL_FILE_NAME, WalRecord, read_wal, record_rows
 
 #: File name of the ownership lock inside a database's ``data_dir``.
 LOCK_FILE_NAME = "LOCK"
@@ -52,6 +53,9 @@ class RecoveryReport:
     snapshot_lsn: int = 0
     #: Records decoded from the log (valid prefix).
     wal_records_scanned: int = 0
+    #: Rows the scanned records carry (a batch record carries many); they
+    #: count against the checkpoint interval like freshly logged rows.
+    wal_rows_scanned: int = 0
     #: Records re-applied (LSN above the snapshot's).
     wal_records_applied: int = 0
     #: Records skipped because the snapshot already contained them.
@@ -155,6 +159,7 @@ def recover(database, data_dir: str | os.PathLike) -> RecoveryReport:
 
     wal = read_wal(os.path.join(data_dir, WAL_FILE_NAME))
     report.wal_records_scanned = len(wal.records)
+    report.wal_rows_scanned = sum(record_rows(record.data) for record in wal.records)
     report.wal_valid_length = wal.valid_length
     report.torn_tail = wal.torn_tail
     report.torn_bytes_dropped = wal.bytes_dropped
@@ -228,8 +233,15 @@ def _apply(database, record: WalRecord) -> None:
     data = record.data
     try:
         op = data["op"]
-        if op == "insert":
+        if op == "insert" and "rows" in data:
+            database.table(data["tbl"]).restore_rows(
+                int(data["rid"]), data["cols"], data["rows"]
+            )
+        elif op == "insert":
             database.table(data["tbl"]).restore_row(int(data["rid"]), data["row"])
+        elif op == "batch":
+            for entry in data["ops"]:
+                _apply(database, WalRecord(lsn=record.lsn, data=entry))
         elif op == "update":
             database.table(data["tbl"]).update(int(data["rid"]), data["set"])
         elif op == "delete":

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.errors import SchemaError
-from repro.storage.types import DataType, coerce_value
+from repro.storage.types import NATIVE_TYPES, DataType, coerce_value
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,18 @@ class TableSchema:
                 return column
         return None
 
+    @cached_property
+    def _column_name_set(self) -> frozenset[str]:
+        return frozenset(self.column_names)
+
+    @cached_property
+    def _coercion_plan(self) -> tuple:
+        """``(name, native type, coerce)`` per column, for :meth:`coerce_row`."""
+        return tuple(
+            (column.name, NATIVE_TYPES[column.data_type], column.coerce)
+            for column in self.columns
+        )
+
     def has_column(self, name: str) -> bool:
         return any(column.name.lower() == name.lower() for column in self.columns)
 
@@ -66,7 +79,15 @@ class TableSchema:
         """Return a full row dict (all columns) with values coerced.
 
         Unknown keys raise; missing columns become NULL (subject to NOT NULL).
+        Keys match column names case-insensitively; a row keyed by exactly
+        the column names (every engine-built row) skips the lower-casing.
         """
+        if row.keys() == self._column_name_set:
+            coerced = {}
+            for name, native, coerce in self._coercion_plan:
+                value = row[name]
+                coerced[name] = value if type(value) is native else coerce(value)
+            return coerced
         known = {column.name.lower(): column for column in self.columns}
         for key in row:
             if key.lower() not in known:

@@ -69,7 +69,9 @@ class Table:
     When the owning database is durable it sets ``wal_emit`` to the WAL
     appender: every successful mutation — insert/update/delete plus index
     builds — then emits one logical log record *after* it has been applied,
-    so crash recovery replays exactly the committed operations.
+    so crash recovery replays exactly the committed operations.  Mutations
+    applied through :meth:`Database.apply_batch` use the unlogged cores
+    below and are logged by the database, many rows to one record.
     """
 
     def __init__(
@@ -255,24 +257,32 @@ class Table:
 
     # -- slotted-page plumbing -------------------------------------------------
 
-    def _store_slot(self, row_id: int, row: dict) -> None:
-        """Write ``row`` into its page (pin → mutate → mark dirty → unpin)."""
-        ordinal, slot = divmod(row_id, self._page_slots)
-        page_id = self._page_ids.get(ordinal)
-        if page_id is None:
-            page_id = self._store.allocate({}, HEAP_PAGE_CODEC)
-            self._page_ids[ordinal] = page_id
-            self._page_live[ordinal] = 0
-        page = self._store.fetch(page_id, HEAP_PAGE_CODEC)
-        try:
-            fresh = slot not in page
-            _install_slot(page, slot, row)
-            self._store.mark_dirty(page_id)
-        finally:
-            self._store.unpin(page_id)
-        if fresh:
-            self._page_live[ordinal] += 1
-            self._row_count += 1
+    def _store_slots(self, first_row_id: int, rows: list[dict]) -> None:
+        """Write ``rows`` at consecutive ids from ``first_row_id``, one
+        pin → mutate → mark dirty → unpin cycle per heap page touched."""
+        end = first_row_id + len(rows)
+        row_id = first_row_id
+        while row_id < end:
+            ordinal, slot = divmod(row_id, self._page_slots)
+            stop = min(end, row_id - slot + self._page_slots)
+            page_id = self._page_ids.get(ordinal)
+            if page_id is None:
+                page_id = self._store.allocate({}, HEAP_PAGE_CODEC)
+                self._page_ids[ordinal] = page_id
+                self._page_live[ordinal] = 0
+            page = self._store.fetch(page_id, HEAP_PAGE_CODEC)
+            try:
+                before = len(page)
+                for offset in range(row_id - first_row_id, stop - first_row_id):
+                    _install_slot(page, slot, rows[offset])
+                    slot += 1
+                fresh = len(page) - before
+                self._store.mark_dirty(page_id)
+            finally:
+                self._store.unpin(page_id)
+            self._page_live[ordinal] += fresh
+            self._row_count += fresh
+            row_id = stop
 
     def _discard_slot(self, row_id: int) -> dict | None:
         """Remove and return the row at ``row_id``; frees emptied pages."""
@@ -431,56 +441,91 @@ class Table:
         return [row for _, row in self.scan() if row[canonical] == value]
 
     # -- mutation -------------------------------------------------------------
+    #
+    # Every mutation has an unlogged core (``place_rows`` / ``apply_update``
+    # / ``apply_delete``) that applies it and returns what undoing it needs,
+    # and an undo (``unplace_rows`` / ``undo_update`` / ``place_rows``).  The single-row public methods wrap a core with their own
+    # WAL record; :meth:`Database.apply_batch` wraps many cores with one.
+
+    def prepare_rows(self, rows) -> list[dict[str, object]]:
+        """Coerce ``rows`` and check every unique index; applies nothing.
+
+        Duplicates are caught against the table and among ``rows``
+        themselves, so a caller that prepares before placing applies either
+        every row or none.
+        """
+        coerced = [self._schema.coerce_row(row) for row in rows]
+        for index in self._iter_indexes():
+            if not index.unique:
+                continue
+            seen: set = set()
+            for row in coerced:
+                value = row[index.column]
+                if value is None:
+                    continue
+                if value in seen or index.lookup(value):
+                    raise IntegrityError(
+                        f"duplicate value {value!r} for unique column "
+                        f"{index.column!r} of table {self.name!r}"
+                    )
+                seen.add(value)
+        return coerced
+
+    def place_rows(self, first_row_id: int, rows: list[dict[str, object]]) -> None:
+        """Install prepared rows at consecutive ids from ``first_row_id``.
+
+        One pin per heap page touched and one version bump for the call;
+        never logged.  Recovery places logged rows at their original ids
+        (indexes and session references point at row ids, so they must stay
+        stable); the next-id counter advances past them.
+        """
+        self._store_slots(first_row_id, rows)
+        for index in self._iter_indexes():
+            column = index.column
+            for offset, row in enumerate(rows):
+                index.insert(row[column], first_row_id + offset)
+        self._next_row_id = max(self._next_row_id, first_row_id + len(rows))
+        self._stats_cache = None
+        self.version += 1
+
+    def unplace_rows(self, first_row_id: int, rows: list[dict[str, object]]) -> None:
+        """Undo :meth:`place_rows`.  The row ids stay consumed — ids are
+        never reused anyway."""
+        for offset, row in enumerate(rows):
+            self._unindex(first_row_id + offset, row)
+            self._discard_slot(first_row_id + offset)
+        self._stats_cache = None
 
     def insert(self, row: dict[str, object]) -> int:
         """Insert a row, returning its row id."""
-        coerced = self._schema.coerce_row(row)
+        return self.insert_prepared(self.prepare_rows([row])[0])
+
+    def insert_prepared(self, row: dict[str, object]) -> int:
+        """Insert one row returned by :meth:`prepare_rows` as its own WAL
+        record; returns its row id."""
         row_id = self._next_row_id
-        # Validate unique indexes before touching state so failures are atomic.
-        for index in self._iter_indexes():
-            if index.unique and coerced[index.column] is not None:
-                if index.lookup(coerced[index.column]):
-                    raise IntegrityError(
-                        f"duplicate value {coerced[index.column]!r} for unique column "
-                        f"{index.column!r} of table {self.name!r}"
-                    )
-        self._store_slot(row_id, coerced)
-        self._next_row_id += 1
-        for index in self._iter_indexes():
-            index.insert(coerced[index.column], row_id)
-        self._stats_cache = None
-        self.version += 1
+        self.place_rows(row_id, [row])
         if self.wal_emit is not None:
             try:
-                self.wal_emit(
-                    {"op": "insert", "tbl": self.name, "rid": row_id, "row": coerced}
-                )
+                self.wal_emit({"op": "insert", "tbl": self.name, "rid": row_id, "row": row})
             except BaseException:
                 # The mutation could not be logged (full disk, closed WAL):
                 # undo it so live state never diverges from what recovery
-                # will rebuild.  The row id stays consumed — ids are never
-                # reused anyway.
-                self._discard_slot(row_id)
-                for index in self._iter_indexes():
-                    index.delete(coerced[index.column], row_id)
+                # will rebuild.
+                self.unplace_rows(row_id, [row])
                 raise
         return row_id
 
     def restore_row(self, row_id: int, row: dict[str, object]) -> None:
-        """Recovery-path insert at a fixed row id (never WAL-logged).
+        """Recovery-path insert at a fixed row id (never WAL-logged)."""
+        self.place_rows(row_id, [self._schema.coerce_row(row)])
 
-        Used when loading a snapshot and when replaying logged inserts: the
-        row takes exactly the id it had before the crash (indexes and session
-        references point at row ids, so they must stay stable), and the
-        next-id counter advances past it.
-        """
-        coerced = self._schema.coerce_row(row)
-        self._store_slot(row_id, coerced)
-        self._next_row_id = max(self._next_row_id, row_id + 1)
-        for index in self._iter_indexes():
-            index.insert(coerced[index.column], row_id)
-        self._stats_cache = None
-        self.version += 1
+    def restore_rows(self, first_row_id: int, columns: list[str], value_lists) -> None:
+        """Recovery: re-place the rows of one batch-record insert entry."""
+        coerce = self._schema.coerce_row
+        self.place_rows(
+            first_row_id, [coerce(dict(zip(columns, values))) for values in value_lists]
+        )
 
     def restore_counters(
         self, next_row_id: int, version: int, schema_version: int
@@ -490,25 +535,29 @@ class Table:
         self.version = version
         self.schema_version = schema_version
 
-    def insert_many(self, rows) -> list[int]:
-        return [self.insert(row) for row in rows]
-
-    def delete(self, row_id: int) -> None:
-        row = self._discard_slot(row_id)
-        if row is None:
-            return
+    def _unindex(self, row_id: int, row: dict) -> None:
         for index in self._iter_indexes():
             index.delete(row[index.column], row_id)
+
+    def apply_delete(self, row_id: int) -> dict | None:
+        """Remove a row without logging; returns it (None when absent)."""
+        row = self._discard_slot(row_id)
+        if row is None:
+            return None
+        self._unindex(row_id, row)
         self._stats_cache = None
         self.version += 1
-        if self.wal_emit is not None:
-            try:
-                self.wal_emit({"op": "delete", "tbl": self.name, "rid": row_id})
-            except BaseException:
-                self._store_slot(row_id, row)  # un-log-able: restore the row
-                for index in self._iter_indexes():
-                    index.insert(row[index.column], row_id)
-                raise
+        return row
+
+    def delete(self, row_id: int) -> None:
+        row = self.apply_delete(row_id)
+        if row is None or self.wal_emit is None:
+            return
+        try:
+            self.wal_emit({"op": "delete", "tbl": self.name, "rid": row_id})
+        except BaseException:
+            self.place_rows(row_id, [row])  # un-log-able: restore the row
+            raise
 
     def delete_where(self, predicate) -> int:
         """Delete rows matching ``predicate(row)``; returns the number removed."""
@@ -517,58 +566,67 @@ class Table:
             self.delete(row_id)
         return len(doomed)
 
-    def update(self, row_id: int, changes: dict[str, object]) -> None:
+    def apply_update(
+        self, row_id: int, changes: dict[str, object]
+    ) -> tuple[dict, dict] | None:
+        """Update a row without logging.
+
+        Returns ``(old_row, changed)`` — the row before the update and the
+        coerced new values keyed by canonical column name — or None when the
+        row is absent.  A unique-index violation raises before anything is
+        touched.
+        """
         row = self.get(row_id)
         if row is None:
-            return
+            return None
+        changed = {self._schema.column(k).name: v for k, v in changes.items()}
         updated = dict(row)
-        updated.update({self._schema.column(k).name: v for k, v in changes.items()})
+        updated.update(changed)
         coerced = self._schema.coerce_row(updated)
-        # Re-point every affected index, rolling back the ones already touched
-        # if a later unique index rejects the new value — a failed update must
-        # leave every index exactly as it was.
-        touched: list[tuple[object, object, object]] = []
-        try:
-            for index in self._iter_indexes():
-                old_value = row[index.column]
-                new_value = coerced[index.column]
-                if old_value == new_value:
-                    continue
-                index.delete(old_value, row_id)
-                if index.unique and new_value is not None and index.lookup(new_value):
-                    index.insert(old_value, row_id)  # restore before failing
-                    raise IntegrityError(
-                        f"duplicate value {new_value!r} for unique column "
-                        f"{index.column!r} of table {self.name!r}"
-                    )
-                index.insert(new_value, row_id)
-                touched.append((index, old_value, new_value))
-        except IntegrityError:
-            for index, old_value, new_value in reversed(touched):
-                index.delete(new_value, row_id)
-                index.insert(old_value, row_id)
-            raise
-        self._store_slot(row_id, coerced)
+        for index in self._iter_indexes():
+            new_value = coerced[index.column]
+            if (
+                index.unique
+                and new_value is not None
+                and new_value != row[index.column]
+                and index.lookup(new_value)
+            ):
+                raise IntegrityError(
+                    f"duplicate value {new_value!r} for unique column "
+                    f"{index.column!r} of table {self.name!r}"
+                )
+        self._repoint(row_id, row, coerced)
+        self._store_slots(row_id, [coerced])
         self._stats_cache = None
         self.version += 1
-        if self.wal_emit is not None:
-            changed = {
-                self._schema.column(column).name: coerced[self._schema.column(column).name]
-                for column in changes
-            }
-            try:
-                self.wal_emit(
-                    {"op": "update", "tbl": self.name, "rid": row_id, "set": changed}
-                )
-            except BaseException:
-                # Un-log-able update: restore the old row and re-point the
-                # indexes touched above, so memory matches what recovery
-                # will rebuild.
-                self._store_slot(row_id, row)
-                for index, old_value, new_value in reversed(touched):
-                    index.delete(new_value, row_id)
-                    index.insert(old_value, row_id)
-                raise
+        return row, {column: coerced[column] for column in changed}
+
+    def undo_update(self, row_id: int, old_row: dict) -> None:
+        self._repoint(row_id, self.get(row_id), old_row)
+        self._store_slots(row_id, [old_row])
+        self._stats_cache = None
+
+    def _repoint(self, row_id: int, old_row: dict, new_row: dict) -> None:
+        """Move ``row_id`` between index keys wherever a value changed."""
+        for index in self._iter_indexes():
+            old_value = old_row[index.column]
+            new_value = new_row[index.column]
+            if old_value != new_value:
+                index.delete(old_value, row_id)
+                index.insert(new_value, row_id)
+
+    def update(self, row_id: int, changes: dict[str, object]) -> None:
+        applied = self.apply_update(row_id, changes)
+        if applied is None or self.wal_emit is None:
+            return
+        old_row, changed = applied
+        try:
+            self.wal_emit({"op": "update", "tbl": self.name, "rid": row_id, "set": changed})
+        except BaseException:
+            # Un-log-able update: restore the old row and its index entries,
+            # so memory matches what recovery will rebuild.
+            self.undo_update(row_id, old_row)
+            raise
 
     # -- schema evolution ------------------------------------------------------
 

@@ -45,6 +45,16 @@ class DataType(enum.Enum):
         return self in (DataType.INTEGER, DataType.FLOAT)
 
 
+#: The Python type each column type stores; a value of exactly this type
+#: coerces to itself.
+NATIVE_TYPES = {
+    DataType.INTEGER: int,
+    DataType.FLOAT: float,
+    DataType.TEXT: str,
+    DataType.BOOLEAN: bool,
+}
+
+
 def coerce_value(value: object, data_type: DataType, column: str = "") -> object:
     """Coerce ``value`` to the Python representation of ``data_type``.
 

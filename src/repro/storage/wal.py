@@ -7,6 +7,20 @@ database's ``data_dir`` *after* it has been applied in memory, so that
 :mod:`repro.storage.recovery` can rebuild the exact committed state by
 replaying the log over the latest snapshot.
 
+Most records carry one row (``{"op": "insert", "tbl", "rid", "row"}``,
+``update``, ``delete``) or one DDL step.  A *batch* record
+(:meth:`~repro.storage.database.Database.apply_batch`) carries many row
+mutations over several tables as one unit::
+
+    {"op": "batch", "ops": [
+        {"op": "insert", "tbl": T, "cols": [c1, ...], "rid": first,
+         "rows": [[v1, ...], ...]},          # row ids first, first+1, ...
+        {"op": "update", "tbl": T, "rid": r, "set": {c: v}},
+        {"op": "delete", "tbl": T, "rid": r}, ...]}
+
+Because one CRC covers the whole record, a torn batch is dropped whole on
+recovery: its mutations are replayed all or none.
+
 Record format (little-endian)::
 
     +---------+----------+---------+------------------+
@@ -25,9 +39,10 @@ Sync policies (the classic durability/throughput dial):
 * ``"commit"`` — every append is written and ``fsync``\\ ed before it returns;
   an acknowledged statement survives a kill -9.
 * ``"batch"`` — appends accumulate in a group-commit buffer that is written
-  and synced as **one** write once ``group_size`` records (or
-  ``group_bytes``) pile up, amortizing the sync cost; a crash can lose at
-  most the unsynced tail of acknowledged work.
+  and synced as **one** write once the pending records carry ``group_size``
+  rows (or ``group_bytes`` pile up), amortizing the sync cost.  Thresholds
+  count *rows*, not records: a crash loses fewer than ``group_size``
+  acknowledged rows, and never part of a batch record.
 * ``"off"`` — records are buffered and written without ever calling
   ``fsync``; durability is whatever the OS page cache decides.  Useful as a
   benchmark baseline and for throwaway runs.
@@ -87,6 +102,14 @@ def encode_record(lsn: int, data: dict) -> bytes:
     payload = json.dumps(data, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
     crc = zlib.crc32(_CRC_PREFIX.pack(lsn, len(payload)) + payload)
     return _HEADER.pack(lsn, len(payload), crc) + payload
+
+
+def record_rows(data: dict) -> int:
+    """Rows one logical record carries: its weight against ``group_size``
+    and the checkpoint interval (a DDL record weighs one)."""
+    if data.get("op") != "batch":
+        return 1
+    return sum(len(entry["rows"]) if "rows" in entry else 1 for entry in data["ops"])
 
 
 @dataclass(frozen=True)
@@ -173,7 +196,8 @@ class WalStats:
     max_batch_records: int = 0
     #: LSN of the most recently appended record.
     last_lsn: int = 0
-    #: Records appended since the last checkpoint truncated the log.
+    #: Rows logged since the last checkpoint truncated the log (a batch
+    #: record counts every row it carries; DDL records count one).
     records_since_checkpoint: int = 0
     #: Checkpoints taken (snapshot written + log truncated).
     checkpoints: int = 0
@@ -217,6 +241,7 @@ class WalWriter:
         self._lsn = start_lsn
         self._pending: list[bytes] = []
         self._pending_bytes = 0
+        self._pending_rows = 0
         self._closed = False
         self.stats = WalStats(sync_policy=sync, last_lsn=start_lsn)
         # Create the file if missing, then open read-write so a recovered
@@ -257,13 +282,15 @@ class WalWriter:
         encoded = encode_record(self._lsn, data)
         self._pending.append(encoded)
         self._pending_bytes += len(encoded)
+        rows = record_rows(data)
+        self._pending_rows += rows
         self.stats.records += 1
         self.stats.bytes_written += len(encoded)
         self.stats.last_lsn = self._lsn
-        self.stats.records_since_checkpoint += 1
+        self.stats.records_since_checkpoint += rows
         if (
             self.sync == "commit"
-            or len(self._pending) >= self.group_size
+            or self._pending_rows >= self.group_size
             or self._pending_bytes >= self.group_bytes
         ):
             self.flush()
@@ -282,6 +309,7 @@ class WalWriter:
         batch_records = len(self._pending)
         self._pending.clear()
         self._pending_bytes = 0
+        self._pending_rows = 0
         self._file.write(batch)
         self._file.flush()
         if self.sync != "off":
@@ -301,6 +329,7 @@ class WalWriter:
         """
         self._pending.clear()
         self._pending_bytes = 0
+        self._pending_rows = 0
         self._file.truncate(0)
         self._file.seek(0)
         self._file.flush()
