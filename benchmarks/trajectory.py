@@ -17,14 +17,6 @@ fixes both:
   that carries each metric, and exit 1 if any regressed by more than 25%.
   Only smoke metrics are gated (they are what CI regenerates every run);
   full-run numbers are history, not a gate.
-
-Hardware-dependent speedups are excluded per key, not per payload: a result
-whose payload reports ``cpu_count`` < 2 (the process-pool lane measured on
-a single core times fork serialization, not parallelism) or
-``process_partials`` == 1 (the lane never opened, the ratio is noise around
-1.0) contributes its other metrics but never its ``*speedup*`` keys.  The
-old per-payload exclusion silently produced an empty trajectory on 1-core
-CI runners even though bench files existed on disk.
 """
 
 from __future__ import annotations
@@ -45,28 +37,12 @@ def _is_ratio_key(key: str) -> bool:
     return "speedup" in key or "_vs_" in key
 
 
-def _hardware_excluded(payload: dict) -> bool:
-    """Whether this payload's parallel-lane speedups are untrustworthy."""
-    if payload.get("cpu_count", 2) < 2:
-        return True
-    return payload.get("process_partials") == 1
-
-
 def _payload_metrics(payload: dict) -> dict[str, float]:
-    """Every numeric scalar metric of one payload (may be empty).
-
-    Hardware exclusion drops only the ``*speedup*`` keys (parallel-vs-serial
-    comparisons that a 1-core runner cannot measure); everything else —
-    latencies, throughputs, non-hardware ratios like ``ingest_vs_target`` —
-    is always recorded.
-    """
-    excluded = _hardware_excluded(payload)
+    """Every numeric scalar metric of one payload (may be empty)."""
     return {
         key: float(value)
         for key, value in sorted(payload.items())
-        if isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and not (excluded and "speedup" in key)
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
     }
 
 

@@ -18,7 +18,7 @@ from repro.sql.canonicalize import parameterize_statement
 from repro.sql.parser import parse
 from repro.storage.exec_settings import ExecutionSettings
 from repro.storage.executor import Executor
-from repro.storage.operators import Filter, ParallelSeqScan, SeqScan
+from repro.storage.operators import Filter, SeqScan
 from repro.storage.planner import Planner
 from repro.workloads.schemas import build_database
 
@@ -86,14 +86,6 @@ class TestBrokenPlans:
         plan.root = plan.aggregate
         assert "plan-batch-contract" in rules_of(PlanVerifier().verify_select(plan))
 
-    def test_parallel_scan_must_be_leaf(self, database):
-        plan = plan_sql(database, "SELECT name FROM Lakes")
-        table = database.table("Lakes")
-        scan = ParallelSeqScan(table, "Lakes", estimate=1.0, workers=2)
-        scan.children = (SeqScan(table, "Lakes", estimate=1.0),)
-        plan.root = scan
-        assert "plan-parallel-safety" in rules_of(PlanVerifier().verify_select(plan))
-
     def test_unreachable_parameter(self, database):
         statement, parameters = parameterize_statement(
             parse("SELECT name FROM Lakes WHERE lake_id = 7")
@@ -109,15 +101,6 @@ class TestBrokenPlans:
         # ... unless the planner declared positional re-binding unsound.
         plan.rebind_unsafe = True
         assert PlanVerifier().verify_select(plan) == []
-
-    def test_parallel_scan_in_dml_plan(self, database):
-        plan = Planner(database).plan_delete(
-            parse("DELETE FROM Lakes WHERE lake_id = 3")
-        )
-        plan.scan = ParallelSeqScan(
-            database.table("Lakes"), "Lakes", estimate=1.0, workers=2
-        )
-        assert "plan-parallel-safety" in rules_of(PlanVerifier().verify_dml(plan))
 
     def test_valid_dml_plan_is_clean(self, database):
         plan = Planner(database).plan_update(

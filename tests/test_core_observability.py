@@ -18,12 +18,13 @@ from repro.client import Workbench
 from repro.errors import QueryTimeoutError, RateLimitedError, ReproError
 from repro.obs import QueryLimits
 from repro.storage.database import Database
+from repro.storage.exec_settings import ExecutionSettings
 
 RUNAWAY_ROWS = 4_000
 
 
-def _runaway_db() -> Database:
-    db = Database(name="obs_runaway")
+def _runaway_db(exec_settings: ExecutionSettings | None = None) -> Database:
+    db = Database(name="obs_runaway", exec_settings=exec_settings)
     db.execute("CREATE TABLE big (x INTEGER, y FLOAT)")
     db.insert_rows(
         "big", [{"x": i, "y": float(i % 97)} for i in range(RUNAWAY_ROWS)]
@@ -48,6 +49,33 @@ class TestStatementTimeouts:
         # The same statement with a generous budget completes untouched.
         result = db.execute("SELECT * FROM big WHERE y >= 0", timeout_seconds=60.0)
         assert len(result) == RUNAWAY_ROWS
+
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "raw"])
+    def test_fused_group_by_cancelled_before_full_scan(self, columnar, monkeypatch):
+        """Both fused GROUP BY paths tick inside their single heap scan, so a
+        spent budget cancels long before the whole table has been pulled."""
+        db = _runaway_db(ExecutionSettings(columnar_kernels=columnar))
+        table = db.table("big")
+        scan, scan_row_lists = table.scan, table.scan_row_lists
+        pulled = [0]
+
+        def counted_scan():
+            for pair in scan():
+                pulled[0] += 1
+                yield pair
+
+        def counted_row_lists():
+            for rows in scan_row_lists():
+                pulled[0] += len(rows)
+                yield rows
+
+        monkeypatch.setattr(table, "scan", counted_scan)
+        monkeypatch.setattr(table, "scan_row_lists", counted_row_lists)
+        sql = "SELECT y, COUNT(*), SUM(x) FROM big WHERE y >= 0 GROUP BY y"
+        with pytest.raises(QueryTimeoutError, match="batch boundary"):
+            db.execute(sql, timeout_seconds=1e-9)
+        assert 0 < pulled[0] < RUNAWAY_ROWS
+        assert len(db.execute(sql, timeout_seconds=60.0)) == 97
 
     def test_timed_out_dml_leaves_table_unchanged(self):
         db = _runaway_db()

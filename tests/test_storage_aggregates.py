@@ -1,6 +1,6 @@
 """Vectorized aggregation: accumulator semantics, operator selection,
-parallel partial aggregation, EXPLAIN/ANALYZE surfacing, plan-cache reuse,
-and equivalence with the historical row-at-a-time aggregation path."""
+EXPLAIN/ANALYZE surfacing, plan-cache reuse, and equivalence with the
+historical row-at-a-time aggregation path."""
 
 from __future__ import annotations
 
@@ -9,16 +9,13 @@ import pytest
 from repro import CQMS, SimulatedClock, build_database
 from repro.errors import ExecutionError
 from repro.storage import Database, ExecutionSettings
-from repro.storage import operators as operators_module
 from repro.storage.aggregates import (
-    AvgAccumulator,
     CountStarAccumulator,
     MaxAccumulator,
     MinAccumulator,
     SumAccumulator,
     collect_aggregate_specs,
 )
-from repro.storage.operators import shutdown_scan_pool
 from repro.storage.statistics import group_count_estimate
 from repro.sql.parser import parse
 
@@ -61,10 +58,6 @@ GROUPED_QUERIES = [
 VARIANT_SETTINGS = [
     pytest.param(ExecutionSettings(), id="vectorized"),
     pytest.param(ExecutionSettings(batch_size=1), id="vectorized-batch1"),
-    pytest.param(
-        ExecutionSettings(parallel_workers=4, parallel_threshold=100),
-        id="vectorized-parallel",
-    ),
     pytest.param(ExecutionSettings(compile_expressions=False), id="uncompiled"),
 ]
 
@@ -83,13 +76,6 @@ class TestAccumulators:
         acc.update_batch([None, None])
         assert acc.finish() is None
 
-    def test_merge_combines_partitions(self):
-        left, right = AvgAccumulator(), AvgAccumulator()
-        left.update_batch([1, 2, 3])
-        right.update_batch([4, None, 5])
-        left.merge(right)
-        assert left.finish() == pytest.approx(3.0)
-
     def test_min_max_keep_first_tie(self):
         low, high = MinAccumulator(), MaxAccumulator()
         first, second = (1, "a"), (1, "b")
@@ -101,9 +87,7 @@ class TestAccumulators:
     def test_count_star_counts_rows(self):
         acc = CountStarAccumulator()
         acc.update_batch([{"a": 1}, {"a": None}])
-        other = CountStarAccumulator()
-        other.update_batch([{"a": 2}])
-        acc.merge(other)
+        acc.update_batch([{"a": 2}])
         assert acc.finish() == 3
 
 
@@ -245,55 +229,6 @@ class TestPlannerIntegration:
         assert result.stats.agg_seconds > 0.0
         plain = db.execute("SELECT name FROM lakes LIMIT 5")
         assert plain.stats.groups_emitted == 0
-
-
-class TestParallelPartialAggregation:
-    def test_parallel_matches_sequential_exactly(self):
-        sequential = _make_db()
-        parallel = _make_db(
-            ExecutionSettings(parallel_workers=4, parallel_threshold=100)
-        )
-        sql = (
-            "SELECT state, COUNT(*), SUM(lake_id), MIN(area), MAX(area) "
-            "FROM lakes GROUP BY state ORDER BY state"
-        )
-        assert parallel.execute(sql).rows == sequential.execute(sql).rows
-
-    def test_parallel_plan_keeps_parallel_scan(self):
-        db = _make_db(ExecutionSettings(parallel_workers=4, parallel_threshold=100))
-        text = db.explain("SELECT state, COUNT(*) FROM lakes GROUP BY state").text()
-        assert "HashAggregate" in text
-        assert "ParallelSeqScan" in text
-
-    def test_rows_scanned_counts_every_partition(self):
-        db = _make_db(ExecutionSettings(parallel_workers=4, parallel_threshold=100))
-        result = db.execute("SELECT state, COUNT(*) FROM lakes GROUP BY state")
-        assert result.stats.rows_scanned == 500
-
-
-class TestScanPoolLifecycle:
-    def test_shutdown_clears_and_recreates_pool(self):
-        db = _make_db(ExecutionSettings(parallel_workers=4, parallel_threshold=100))
-        db.execute("SELECT state, COUNT(*) FROM lakes GROUP BY state")
-        assert operators_module._SCAN_POOL is not None
-        shutdown_scan_pool()
-        assert operators_module._SCAN_POOL is None
-        # The next parallel scan lazily re-creates the pool.
-        result = db.execute("SELECT state, COUNT(*) FROM lakes GROUP BY state")
-        assert result.stats.rows_scanned == 500
-        assert operators_module._SCAN_POOL is not None
-
-    def test_database_close_shuts_the_pool_down(self):
-        db = _make_db(ExecutionSettings(parallel_workers=4, parallel_threshold=100))
-        db.execute("SELECT state, COUNT(*) FROM lakes GROUP BY state")
-        assert operators_module._SCAN_POOL is not None
-        db.close()
-        assert operators_module._SCAN_POOL is None
-
-    def test_shutdown_is_idempotent(self):
-        shutdown_scan_pool()
-        shutdown_scan_pool()
-        assert operators_module._SCAN_POOL is None
 
 
 class TestGroupedMetaQueries:

@@ -1,10 +1,9 @@
 """Columnar batch kernels: cross-path equivalence, the fused aggregation
-lane, the forked partial-aggregation lane, EXPLAIN ANALYZE counters, the
-plan-verifier columnar contract, and the ``columnar-mutation`` hazard rule."""
+path, EXPLAIN ANALYZE counters, the plan-verifier columnar contract, and the
+``columnar-mutation`` hazard rule."""
 
 from __future__ import annotations
 
-import os
 import textwrap
 
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.storage import Database, ExecutionSettings
 from repro.storage.colbatch import KIND_INT, KIND_OBJECT, ColumnBatch
-from repro.storage.exec_settings import auto_parallel_workers
 from repro.storage.kernels import (
     apply_kernels,
     compile_columnar_conjuncts,
@@ -77,28 +75,16 @@ def _sorted_rows(result):
 
 
 class TestCrossPathEquivalence:
-    """The satellite equivalence matrix: columnar ≡ row across batch sizes,
-    worker counts, and NULL-heavy string data — exact equality, not
-    approximate."""
+    """The equivalence matrix: columnar ≡ row across batch sizes and
+    NULL-heavy string data — exact equality, not approximate."""
 
     @pytest.mark.parametrize("batch_size", [1, 2, 256])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_columnar_matches_row_path(self, batch_size, workers):
+    def test_columnar_matches_row_path(self, batch_size):
         columnar = _make_db(
-            ExecutionSettings(
-                batch_size=batch_size,
-                parallel_workers=workers,
-                parallel_threshold=100,
-                columnar_kernels=True,
-            )
+            ExecutionSettings(batch_size=batch_size, columnar_kernels=True)
         )
         row = _make_db(
-            ExecutionSettings(
-                batch_size=batch_size,
-                parallel_workers=workers,
-                parallel_threshold=100,
-                columnar_kernels=False,
-            )
+            ExecutionSettings(batch_size=batch_size, columnar_kernels=False)
         )
         for sql in QUERIES:
             got = columnar.execute(sql)
@@ -290,34 +276,12 @@ class TestAnalyzeCounters:
         assert "columnar:" not in text
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
-class TestProcessPartialAggregation:
-    # The fork lane pays PROCESS_SETUP_COST per worker, so the cost gate only
-    # opens it for scans big enough to amortize the forks (~21k rows at the
-    # default constants with 2 workers).
-    ROWS = 24_000
+class TestFusedAggregationOnPagedStore:
+    """Both fused GROUP BY paths over a durable heap larger than its buffer
+    pool: pages are evicted and re-read mid-scan, results stay exact, and
+    the store keeps accepting writes, checkpoints and reopens afterwards."""
 
-    def _forked_db(self, tmp_path=None):
-        settings = ExecutionSettings(
-            process_workers=2, process_threshold=100, buffer_pool_pages=64
-        )
-        if tmp_path is not None:
-            db = Database.open(tmp_path, exec_settings=settings)
-        else:
-            db = Database(exec_settings=settings)
-        db.execute("CREATE TABLE m (k TEXT, v INTEGER)")
-        db.insert_rows(
-            "m",
-            [
-                {"k": f"g{i % 5}", "v": None if i % 9 == 0 else i}
-                for i in range(self.ROWS)
-            ],
-        )
-        # The gate needs cached statistics: without them the group estimate
-        # defaults to the input row count and the fork lane stays off.
-        db.table("m").statistics(refresh=True)
-        return db
-
+    ROWS = 3_000
     SQL = "SELECT k, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v) FROM m GROUP BY k ORDER BY k"
 
     def _expected(self):
@@ -336,116 +300,40 @@ class TestProcessPartialAggregation:
             (k, g[0], g[1], g[2], g[3], g[4]) for k, g in sorted(groups.items())
         ]
 
-    def test_planner_gates_the_fork_lane_on(self):
-        from repro.storage.planner import Planner
-
-        db = self._forked_db()
-        plan = Planner(db).plan_select(parse(self.SQL))
-        assert plan.aggregate is not None
-        assert plan.aggregate.process_partials == 2
-        # A small scan keeps the lane off: the forks would cost more than
-        # the in-process columnar coordinator.
-        small = Database(
-            exec_settings=ExecutionSettings(
-                process_workers=2, process_threshold=100
-            )
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "raw"])
+    def test_group_by_matches_on_durable_database(self, tmp_path, columnar):
+        settings = ExecutionSettings(columnar_kernels=columnar, buffer_pool_pages=8)
+        db = Database.open(tmp_path, exec_settings=settings)
+        db.execute("CREATE TABLE m (k TEXT, v INTEGER)")
+        db.insert_rows(
+            "m",
+            [
+                {"k": f"g{i % 5}", "v": None if i % 9 == 0 else i}
+                for i in range(self.ROWS)
+            ],
         )
-        small.execute("CREATE TABLE m (k TEXT, v INTEGER)")
-        small.insert_rows(
-            "m", [{"k": f"g{i % 5}", "v": i} for i in range(2000)]
-        )
-        small.table("m").statistics(refresh=True)
-        small_plan = Planner(small).plan_select(parse(self.SQL))
-        assert small_plan.aggregate.process_partials == 1
-
-    def test_forked_matches_sequential_exactly(self, monkeypatch):
-        import repro.storage.operators as operators_module
-
-        db = self._forked_db()
-        calls = {}
-        original = operators_module._forked_partials
-
-        def spy(*args, **kwargs):
-            result = original(*args, **kwargs)
-            calls["outcome"] = "ok" if result is not None else "fallback"
-            return result
-
-        monkeypatch.setattr(operators_module, "_forked_partials", spy)
-        forked = db.execute(self.SQL)
-        assert calls.get("outcome") == "ok"
-        assert [tuple(row) for row in forked.rows] == self._expected()
-
-    def test_forked_matches_on_durable_database(self, tmp_path, monkeypatch):
-        import repro.storage.operators as operators_module
-
-        db = self._forked_db(tmp_path)
         db.checkpoint()
-        calls = {}
-        original = operators_module._forked_partials
-
-        def spy(*args, **kwargs):
-            result = original(*args, **kwargs)
-            calls["outcome"] = "ok" if result is not None else "fallback"
-            return result
-
-        monkeypatch.setattr(operators_module, "_forked_partials", spy)
-        forked = db.execute(self.SQL)
-        assert calls.get("outcome") == "ok"
-        # The parent's storage stack survives the forks: writes, checkpoint,
-        # and reopen all still work.
+        assert db.table("m").page_count > 8
+        result = db.execute(self.SQL)
+        assert [tuple(row) for row in result.rows] == self._expected()
+        assert result.stats.rows_scanned == self.ROWS
         db.execute("INSERT INTO m VALUES ('late', 7)")
         db.checkpoint()
         db.close()
-        settings = ExecutionSettings(
-            process_workers=2, process_threshold=100, buffer_pool_pages=64
-        )
         reopened = Database.open(tmp_path, exec_settings=settings)
         count = reopened.execute("SELECT COUNT(*) FROM m").rows[0][0]
         assert count == self.ROWS + 1
         reopened.close()
-        assert len(forked.rows) == 5
-
-    def test_fork_failure_falls_back_in_process(self, monkeypatch):
-        import repro.storage.operators as operators_module
-
-        db = self._forked_db()
-        monkeypatch.setattr(
-            operators_module, "_forked_partials", lambda *a, **k: None
-        )
-        result = db.execute(self.SQL)
-        assert [tuple(row) for row in result.rows] == self._expected()
 
 
-class TestAutoParallelWorkers:
-    def test_gil_build_defaults_to_one_worker(self):
-        assert auto_parallel_workers(gil_enabled=True, cpu_count=16) == 1
-
-    def test_free_threaded_build_unlocks_the_thread_lane(self):
-        assert auto_parallel_workers(gil_enabled=False, cpu_count=16) == 4
-        assert auto_parallel_workers(gil_enabled=False, cpu_count=2) == 2
-        assert auto_parallel_workers(gil_enabled=False, cpu_count=1) == 1
-
-    def test_settings_validate_new_knobs(self):
-        with pytest.raises(ValueError):
-            ExecutionSettings(process_workers=0)
-        with pytest.raises(ValueError):
-            ExecutionSettings(process_threshold=-1)
-
+class TestColumnarConfig:
     def test_config_maps_columnar_knobs(self):
         from repro.core.config import CQMSConfig
 
-        config = CQMSConfig(
-            exec_columnar_kernels=False,
-            exec_process_workers=3,
-            exec_process_threshold=123,
-        )
+        config = CQMSConfig(exec_columnar_kernels=False)
         config.validate()
         settings = config.exec_settings()
         assert settings.columnar_kernels is False
-        assert settings.process_workers == 3
-        assert settings.process_threshold == 123
-        with pytest.raises(ValueError):
-            CQMSConfig(exec_process_workers=0).validate()
 
 
 class TestPlanVerifierColumnarContract:
