@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.framework import Severity
-from repro.analysis.hazard_lint import lint_paths
+from repro.analysis.hazard_lint import RULES, lint_paths
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -347,6 +347,18 @@ class TestPagePinProtocol:
             """,
         )
         assert "page-pin-protocol" not in rules_of(diagnostics)
+
+
+class TestRuleCatalog:
+    def test_rules_are_the_six_engine_hazards(self):
+        assert [rule.name for rule in RULES] == [
+            "wal-pairing",
+            "lock-across-yield",
+            "broad-except",
+            "wall-clock",
+            "page-pin-protocol",
+            "columnar-mutation",
+        ]
 
 
 class TestEngineTree:

@@ -136,6 +136,32 @@ class TestExecutorHook:
             assert result.columns
 
 
+    @pytest.mark.parametrize(
+        "exec_settings",
+        [
+            pytest.param(ExecutionSettings(verify_plans=True), id="columnar"),
+            pytest.param(
+                ExecutionSettings(verify_plans=True, columnar_kernels=False), id="raw"
+            ),
+            pytest.param(
+                ExecutionSettings(verify_plans=True, vectorized_aggregation=False),
+                id="historical",
+            ),
+        ],
+    )
+    def test_grouped_queries_verify_on_every_aggregation_path(self, exec_settings):
+        database = build_database("limnology", exec_settings=exec_settings)
+        plain = build_database("limnology")
+        for sql in (
+            "SELECT state, COUNT(*), MIN(area_km2), MAX(area_km2) "
+            "FROM Lakes GROUP BY state ORDER BY state",
+            "SELECT state, AVG(area_km2) FROM Lakes WHERE area_km2 > 10 "
+            "GROUP BY state HAVING COUNT(*) > 1 ORDER BY state",
+            "SELECT COUNT(*), COUNT(DISTINCT state) FROM Lakes",
+        ):
+            assert database.execute(sql).rows == plain.execute(sql).rows, sql
+
+
 class TestGeneratedCorpus:
     def test_small_corpus_verifies_clean(self):
         result = verify_corpus(domains=("limnology",), sessions=12, seed=3)

@@ -77,6 +77,29 @@ class TestStatementTimeouts:
         assert 0 < pulled[0] < RUNAWAY_ROWS
         assert len(db.execute(sql, timeout_seconds=60.0)) == 97
 
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "raw"])
+    def test_fused_group_by_cancelled_on_paged_store(self, columnar, tmp_path):
+        """On a durable heap larger than its buffer pool the fused scan still
+        ticks per page: a spent budget cancels it, and the store stays usable."""
+        settings = ExecutionSettings(columnar_kernels=columnar, buffer_pool_pages=8)
+        db = Database.open(tmp_path, exec_settings=settings)
+        db.execute("CREATE TABLE big (x INTEGER, y FLOAT)")
+        db.insert_rows(
+            "big", [{"x": i, "y": float(i % 97)} for i in range(RUNAWAY_ROWS)]
+        )
+        assert db.table("big").page_count > 8
+        sql = "SELECT y, COUNT(*), SUM(x) FROM big WHERE y >= 0 GROUP BY y"
+        with pytest.raises(QueryTimeoutError, match="batch boundary"):
+            db.execute(sql, timeout_seconds=1e-9)
+        assert len(db.execute(sql, timeout_seconds=60.0)) == 97
+        db.execute("INSERT INTO big VALUES (-1, 0.5)")
+        db.close()
+        reopened = Database.open(tmp_path, exec_settings=settings)
+        assert reopened.execute("SELECT COUNT(*) FROM big").rows == [
+            (RUNAWAY_ROWS + 1,)
+        ]
+        reopened.close()
+
     def test_timed_out_dml_leaves_table_unchanged(self):
         db = _runaway_db()
         with pytest.raises(QueryTimeoutError):

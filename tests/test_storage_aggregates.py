@@ -7,9 +7,10 @@ from __future__ import annotations
 import pytest
 
 from repro import CQMS, SimulatedClock, build_database
-from repro.errors import ExecutionError
+from repro.errors import DurabilityError, ExecutionError
 from repro.storage import Database, ExecutionSettings
 from repro.storage.aggregates import (
+    AvgAccumulator,
     CountStarAccumulator,
     MaxAccumulator,
     MinAccumulator,
@@ -58,6 +59,7 @@ GROUPED_QUERIES = [
 VARIANT_SETTINGS = [
     pytest.param(ExecutionSettings(), id="vectorized"),
     pytest.param(ExecutionSettings(batch_size=1), id="vectorized-batch1"),
+    pytest.param(ExecutionSettings(columnar_kernels=False), id="vectorized-raw"),
     pytest.param(ExecutionSettings(compile_expressions=False), id="uncompiled"),
 ]
 
@@ -75,6 +77,12 @@ class TestAccumulators:
         acc = SumAccumulator()
         acc.update_batch([None, None])
         assert acc.finish() is None
+
+    def test_avg_folds_across_batches(self):
+        acc = AvgAccumulator()
+        acc.update_batch([1, 2, 3])
+        acc.update_batch([4, None, 5])
+        assert acc.finish() == pytest.approx(3.0)
 
     def test_min_max_keep_first_tie(self):
         low, high = MinAccumulator(), MaxAccumulator()
@@ -229,6 +237,34 @@ class TestPlannerIntegration:
         assert result.stats.agg_seconds > 0.0
         plain = db.execute("SELECT name FROM lakes LIMIT 5")
         assert plain.stats.groups_emitted == 0
+
+
+class TestSingleScanAggregation:
+    """Every grouped query reads the heap once, through one SeqScan, on the
+    calling thread — on both the columnar and the raw fused path."""
+
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "raw"])
+    def test_rows_scanned_counts_every_row_once(self, columnar):
+        db = _make_db(ExecutionSettings(columnar_kernels=columnar))
+        result = db.execute("SELECT state, COUNT(*) FROM lakes GROUP BY state")
+        assert result.stats.rows_scanned == 500
+        assert sum(n for _, n in result.rows) == 500
+
+    def test_plan_scans_the_heap_with_one_seq_scan(self):
+        db = _make_db()
+        text = db.explain("SELECT state, COUNT(*) FROM lakes GROUP BY state").text()
+        assert "HashAggregate" in text
+        assert text.count("SeqScan lakes") == 1
+        assert "Parallel" not in text
+
+    def test_close_after_aggregation_is_idempotent(self):
+        db = _make_db()
+        db.execute("SELECT state, COUNT(*) FROM lakes GROUP BY state")
+        db.close()
+        db.close()
+        assert db.closed
+        with pytest.raises(DurabilityError, match="closed"):
+            db.execute("SELECT state, COUNT(*) FROM lakes GROUP BY state")
 
 
 class TestGroupedMetaQueries:

@@ -23,9 +23,15 @@ from repro.storage.types import DataType
 from repro.sql.parser import parse
 
 
-def _make_db(exec_settings: ExecutionSettings | None = None) -> Database:
-    """A NULL-heavy dataset with string, int, and float columns."""
-    db = Database(exec_settings=exec_settings)
+def _make_db(
+    exec_settings: ExecutionSettings | None = None, data_dir=None
+) -> Database:
+    """A NULL-heavy dataset with string, int, and float columns — in memory,
+    or on a paged durable store when ``data_dir`` is given."""
+    if data_dir is None:
+        db = Database(exec_settings=exec_settings)
+    else:
+        db = Database.open(data_dir, exec_settings=exec_settings)
     db.execute(
         "CREATE TABLE readings (id INTEGER, station TEXT, value FLOAT, flag INTEGER)"
     )
@@ -75,22 +81,29 @@ def _sorted_rows(result):
 
 
 class TestCrossPathEquivalence:
-    """The equivalence matrix: columnar ≡ row across batch sizes and
-    NULL-heavy string data — exact equality, not approximate."""
+    """The equivalence matrix: columnar ≡ row across batch sizes, in-memory
+    and paged heaps, and NULL-heavy string data — exact equality, not
+    approximate."""
 
     @pytest.mark.parametrize("batch_size", [1, 2, 256])
-    def test_columnar_matches_row_path(self, batch_size):
-        columnar = _make_db(
-            ExecutionSettings(batch_size=batch_size, columnar_kernels=True)
-        )
-        row = _make_db(
-            ExecutionSettings(batch_size=batch_size, columnar_kernels=False)
-        )
+    @pytest.mark.parametrize("store", ["memory", "paged"])
+    def test_columnar_matches_row_path(self, batch_size, store, tmp_path):
+        def open_db(columnar):
+            settings = ExecutionSettings(
+                batch_size=batch_size, columnar_kernels=columnar
+            )
+            if store == "memory":
+                return _make_db(settings)
+            return _make_db(settings, data_dir=tmp_path / f"columnar-{columnar}")
+
+        columnar, row = open_db(True), open_db(False)
         for sql in QUERIES:
             got = columnar.execute(sql)
             expected = row.execute(sql)
             assert got.columns == expected.columns, sql
             assert got.rows == expected.rows, sql
+        columnar.close()
+        row.close()
 
     def test_columnar_off_reproduces_row_engine(self):
         """``columnar_kernels=False`` builds zero columnar batches — the
@@ -326,6 +339,16 @@ class TestFusedAggregationOnPagedStore:
         reopened.close()
 
 
+#: The execution lanes' knobs, removed with the lanes: every scan and every
+#: aggregation now runs on the calling thread.
+REMOVED_LANE_KNOBS = [
+    "parallel_workers",
+    "parallel_threshold",
+    "process_workers",
+    "process_threshold",
+]
+
+
 class TestColumnarConfig:
     def test_config_maps_columnar_knobs(self):
         from repro.core.config import CQMSConfig
@@ -334,6 +357,40 @@ class TestColumnarConfig:
         config.validate()
         settings = config.exec_settings()
         assert settings.columnar_kernels is False
+
+    def test_config_maps_every_exec_knob(self):
+        from repro.core.config import CQMSConfig
+
+        config = CQMSConfig(
+            exec_batch_size=17, exec_columnar_kernels=False, exec_verify_plans=True
+        )
+        config.validate()
+        settings = config.exec_settings()
+        assert settings.batch_size == 17
+        assert settings.columnar_kernels is False
+        assert settings.verify_plans is True
+
+    def test_settings_validate_remaining_knobs(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            ExecutionSettings(batch_size=0)
+        with pytest.raises(ValueError, match="buffer_pool_pages"):
+            ExecutionSettings(buffer_pool_pages=7)
+        from repro.core.config import CQMSConfig
+
+        with pytest.raises(ValueError, match="exec_batch_size"):
+            CQMSConfig(exec_batch_size=0).validate()
+
+    @pytest.mark.parametrize("knob", REMOVED_LANE_KNOBS)
+    def test_settings_reject_removed_lane_knob(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            ExecutionSettings(**{knob: 2})
+
+    @pytest.mark.parametrize("knob", REMOVED_LANE_KNOBS)
+    def test_config_rejects_removed_lane_knob(self, knob):
+        from repro.core.config import CQMSConfig
+
+        with pytest.raises(TypeError, match=f"exec_{knob}"):
+            CQMSConfig(**{f"exec_{knob}": 2})
 
 
 class TestPlanVerifierColumnarContract:

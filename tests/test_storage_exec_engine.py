@@ -4,6 +4,8 @@ cache, and the calibrated join-fanout estimates."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
 from repro.storage import Database, ExecutionSettings
 from repro.storage.executor import ExecutorMetrics
@@ -51,7 +53,7 @@ QUERIES = [
 
 
 class TestBatchSemantics:
-    @pytest.mark.parametrize("batch_size", [1, 2, 256])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 7, 256])
     def test_results_identical_across_batch_sizes(self, batch_size):
         baseline = _make_db(ExecutionSettings(batch_size=256))
         db = _make_db(ExecutionSettings(batch_size=batch_size))
@@ -145,6 +147,67 @@ class TestBatchSemantics:
         plan = db.explain("UPDATE samples SET temp = 0 WHERE depth > 40").text()
         assert "SeqScan samples" in plan
         assert db.execute("DELETE FROM samples WHERE depth = 29").rowcount > 0
+
+
+class TestSequentialScan:
+    """Every heap scan is one SeqScan on the calling thread: heap order,
+    every row counted once, whatever the table size or batch size."""
+
+    def test_seq_scan_preserves_heap_order(self):
+        db = _make_db()
+        table = db.table("samples")
+        scan = SeqScan(table, "s", float(len(table)))
+        rows = list(scan.rows(ExecutionContext(metrics=ExecutorMetrics())))
+        assert [binding["s"] for binding in rows] == [row for _, row in table.scan()]
+
+    def test_seq_scan_counts_all_rows(self):
+        db = _make_db()
+        table = db.table("samples")
+        metrics = ExecutorMetrics()
+        scan = SeqScan(table, "s", float(len(table)))
+        total = sum(len(b) for b in scan.batches(ExecutionContext(metrics=metrics)))
+        assert total == len(table) == metrics.rows_scanned
+
+    @pytest.mark.parametrize("table", ["lakes", "samples"])
+    def test_planner_plans_seq_scan_at_any_size(self, table):
+        db = _make_db()
+        text = db.explain(f"SELECT * FROM {table}").text()
+        assert f"SeqScan {table}" in text
+        assert "Parallel" not in text
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "UPDATE samples SET temp = 0 WHERE depth > 27",
+            "DELETE FROM samples WHERE depth > 27",
+        ],
+        ids=["update", "delete"],
+    )
+    def test_dml_scans_with_seq_scan(self, sql):
+        db = _make_db()
+        assert "SeqScan samples" in db.explain(sql).text()
+        # depth cycles 0..29 over 1000 rows: depths 28 and 29 hold 66 rows.
+        assert db.execute(sql).rowcount == 66
+
+    @hsettings(max_examples=25, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.integers(-50, 50), st.none()), min_size=0, max_size=500
+        ),
+        batch_size=st.integers(1, 64),
+        threshold=st.integers(-40, 40),
+    )
+    def test_filter_property(self, values, batch_size, threshold):
+        """Random tables: a filtered scan returns exactly the matching rows,
+        in heap order, at any batch size."""
+        db = Database(exec_settings=ExecutionSettings(batch_size=batch_size))
+        db.execute("CREATE TABLE t (v INTEGER)")
+        db.insert_rows("t", [{"v": value} for value in values])
+        result = db.execute(f"SELECT v FROM t WHERE v >= {threshold}")
+        assert result.rows == [
+            (value,) for value in values if value is not None and value >= threshold
+        ]
+        assert result.stats.rows_scanned == len(values)
 
 
 class TestExplainAnalyze:
