@@ -10,8 +10,8 @@ Three cooperating passes share one :class:`Diagnostic`/:class:`Rule`/
   ``ExecutionSettings.verify_plans``; exercised corpus-wide in CI by
   :mod:`repro.analysis.corpus`);
 * :mod:`repro.analysis.hazard_lint` — ``ast``-walking rules over
-  ``src/repro`` itself (WAL pairing, locks across yields, broad excepts,
-  wall-clock calls, page pins, columnar mutation).
+  ``src/repro`` itself (locks across yields, broad excepts, wall-clock
+  calls, page pins, columnar mutation).
 
 ``python -m repro.analysis`` is the CLI (``lint`` / ``verify-plans`` /
 ``lint-sql``); see :mod:`repro.analysis.__main__`.

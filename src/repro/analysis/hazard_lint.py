@@ -5,12 +5,6 @@ the ROADMAP's next items (MVCC, replication) would turn from latent bugs
 into data corruption.  This pass walks :mod:`ast` trees of ``src/repro``
 and enforces them:
 
-* ``wal-pairing`` — in any class that owns a ``wal_emit`` hook (the
-  ``Table`` heap), a method that mutates ``self._rows`` must reference
-  ``self.wal_emit`` inside a ``try`` whose ``except BaseException`` handler
-  rolls back and re-raises; otherwise live state can diverge from what
-  recovery replays.  Recovery-path methods (``restore_*``) replay the log
-  itself and are exempt by convention.
 * ``lock-across-yield`` — a ``with <lock>:`` block whose body yields
   suspends the generator while the lock is held; the consumer decides when
   (and whether) it is released.
@@ -51,9 +45,6 @@ from typing import Iterator
 
 from repro.analysis.framework import Diagnostic, DiagnosticReport, Rule, Severity
 
-WAL_PAIRING = Rule(
-    "wal-pairing", Severity.ERROR, "heap mutation without a paired wal_emit/rollback"
-)
 LOCK_ACROSS_YIELD = Rule(
     "lock-across-yield", Severity.ERROR, "lock held across a generator yield"
 )
@@ -75,7 +66,6 @@ COLUMNAR_MUTATION = Rule(
 )
 
 RULES: tuple[Rule, ...] = (
-    WAL_PAIRING,
     LOCK_ACROSS_YIELD,
     BROAD_EXCEPT,
     WALL_CLOCK,
@@ -149,7 +139,6 @@ def lint_paths(paths: list[str | Path]) -> DiagnosticReport:
 
 def lint_source(source: SourceFile) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
-    _check_wal_pairing(source, diagnostics)
     _check_lock_across_yield(source, diagnostics)
     _check_broad_except(source, diagnostics)
     _check_wall_clock(source, diagnostics)
@@ -158,11 +147,11 @@ def lint_source(source: SourceFile) -> list[Diagnostic]:
     return diagnostics
 
 
-# -- wal-pairing ----------------------------------------------------------------
+# -- lock-across-yield ----------------------------------------------------------
 
 
 def _attribute_chain(node: ast.AST) -> str:
-    """Dotted name of an attribute/name chain ("self._rows.pop"), "" otherwise."""
+    """Dotted name of an attribute/name chain ("self._lock.acquire"), "" otherwise."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -171,100 +160,6 @@ def _attribute_chain(node: ast.AST) -> str:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return ""
-
-
-def _mutates_heap(func: ast.FunctionDef) -> ast.AST | None:
-    """First statement mutating ``self._rows`` in-place, or None."""
-    for node in ast.walk(func):
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Subscript):
-                    if _attribute_chain(target.value) == "self._rows":
-                        return node
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript):
-                    if _attribute_chain(target.value) == "self._rows":
-                        return node
-        elif isinstance(node, ast.Call):
-            chain = _attribute_chain(node.func)
-            if chain in ("self._rows.pop", "self._rows.clear", "self._rows.update"):
-                return node
-    return None
-
-
-def _has_guarded_wal_emit(func: ast.FunctionDef) -> bool:
-    """True when ``self.wal_emit`` is called inside a try whose
-    ``except BaseException`` handler re-raises (the rollback idiom)."""
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Try):
-            continue
-        calls_wal = any(
-            isinstance(inner, ast.Call)
-            and _attribute_chain(inner.func) == "self.wal_emit"
-            for body_stmt in node.body
-            for inner in ast.walk(body_stmt)
-        )
-        if not calls_wal:
-            continue
-        for handler in node.handlers:
-            if (
-                isinstance(handler.type, ast.Name)
-                and handler.type.id == "BaseException"
-                and any(isinstance(s, ast.Raise) for s in ast.walk(ast.Module(body=handler.body, type_ignores=[])))
-            ):
-                return True
-    return False
-
-
-def _check_wal_pairing(source: SourceFile, diagnostics: list[Diagnostic]) -> None:
-    for node in ast.walk(source.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        owns_wal = any(
-            isinstance(inner, ast.Attribute)
-            and inner.attr == "wal_emit"
-            and isinstance(inner.value, ast.Name)
-            and inner.value.id == "self"
-            for inner in ast.walk(node)
-        )
-        if not owns_wal:
-            continue
-        for func in node.body:
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if func.name.startswith("restore"):
-                continue  # recovery path: replays the log, never re-logs
-            mutation = _mutates_heap(func)
-            if mutation is None:
-                continue
-            refs_wal = any(
-                isinstance(inner, ast.Attribute)
-                and inner.attr == "wal_emit"
-                and isinstance(inner.value, ast.Name)
-                and inner.value.id == "self"
-                for inner in ast.walk(func)
-            )
-            if not refs_wal:
-                diagnostics.append(
-                    WAL_PAIRING.at(
-                        source.where(mutation),
-                        f"{node.name}.{func.name} mutates the heap without "
-                        f"emitting a WAL record",
-                    )
-                )
-            elif not _has_guarded_wal_emit(func):
-                diagnostics.append(
-                    WAL_PAIRING.at(
-                        source.where(mutation),
-                        f"{node.name}.{func.name} calls wal_emit without the "
-                        f"rollback idiom (try / except BaseException: undo; raise)",
-                    )
-                )
-
-
-# -- lock-across-yield ----------------------------------------------------------
 
 
 def _looks_like_lock(expr: ast.AST) -> bool:
@@ -444,8 +339,8 @@ def _page_mutation_name(node: ast.AST) -> str | None:
 
     Catches ``page[k] = v`` / ``del page[k]`` / ``page.pop(...)``-style
     mutator calls.  Deliberately shallow — mutations through sub-objects
-    (``page["keys"].insert``) escape the heuristic, like the wal-pairing
-    rule's, but every protocol violation starts somewhere visible.
+    (``page["keys"].insert``) escape the heuristic, but every protocol
+    violation starts somewhere visible.
     """
     if isinstance(node, (ast.Assign, ast.AugAssign)):
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]

@@ -192,7 +192,7 @@ class QueryStore:
             ("Predicates", "attrName"),
             ("Projections", "attrName"),
         ):
-            self._meta_db.table(table).create_index(f"{table.lower()}_{column.lower()}", column)
+            self._meta_db.create_index(table, f"{table.lower()}_{column.lower()}", column)
         # Sorted indexes on the timestamp/counter columns the maintenance and
         # browsing meta-queries range over ("recent queries", "expensive
         # queries", session windows): the planner turns range predicates on
@@ -207,8 +207,8 @@ class QueryStore:
             ("RuntimeStats", "rowsScanned"),
             ("RuntimeStats", "elapsedSeconds"),
         ):
-            self._meta_db.table(table).create_index(
-                f"{table.lower()}_{column.lower()}_sorted", column, kind="sorted"
+            self._meta_db.create_index(
+                table, f"{table.lower()}_{column.lower()}_sorted", column, kind="sorted"
             )
         self._records: dict[int, LoggedQuery] = {}
         # Secondary indexes so per-user / per-group lookups (called once per
@@ -399,7 +399,9 @@ class QueryStore:
             if row["key"] == "next_qid":
                 self._next_qid = max(self._next_qid, row["value"] or 1)
                 return row_id
-        return table.insert({"key": "next_qid", "value": self._next_qid})
+        row_id = table.next_row_id
+        self._meta_db.insert_rows("StoreMeta", [{"key": "next_qid", "value": self._next_qid}])
+        return row_id
 
     def get(self, qid: int) -> LoggedQuery:
         try:
@@ -695,9 +697,10 @@ class QueryStore:
         flag count) through the qid index, bypassing SQL parsing.  Keeping
         the relation authoritative means the maintenance drop-after-N-flags
         policy survives restarts of a durable store."""
-        table = self._meta_db.table("Queries")
-        for row_id in self._feature_row_ids(table, record.qid):
-            table.update(
+        writes = WriteBatch()
+        for row_id in self._feature_row_ids(self._meta_db.table("Queries"), record.qid):
+            writes.update(
+                "Queries",
                 row_id,
                 {
                     "valid": not record.flagged_invalid,
@@ -705,6 +708,7 @@ class QueryStore:
                     "flagCount": record.flag_count,
                 },
             )
+        self._meta_db.apply_batch(writes)
 
     def remove(self, qid: int) -> None:
         """Remove a query and all its shredded features, as one batch.

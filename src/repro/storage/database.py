@@ -290,8 +290,6 @@ class Database:
         wal.stats.records_since_checkpoint = report.wal_rows_scanned
         database._recovered_backlog = report.wal_rows_scanned
         database._maybe_checkpoint(include_recovered=True)
-        for table in database._tables.values():
-            table.wal_emit = database._wal_append
         return database
 
     @property
@@ -503,7 +501,7 @@ class Database:
         DDL follows a validate → log → apply order: every fallible check
         runs before the WAL append, and the apply steps after it cannot
         fail, so a failed append never leaves memory diverged from the log
-        (the DML paths achieve the same with explicit rollback).
+        (row changes achieve the same with :meth:`apply_batch`'s undo).
         """
         self._assert_open()
         timestamp = self._now() if timestamp is None else timestamp
@@ -515,8 +513,6 @@ class Database:
         self._catalog.register(schema, timestamp=timestamp)
         table = Table(schema, store=self._store)
         self._tables[schema.name.lower()] = table
-        if self._wal is not None:
-            table.wal_emit = self._wal_append
         return table
 
     def drop_table(self, name: str, timestamp: float | None = None) -> None:
@@ -529,24 +525,61 @@ class Database:
         self._tables.pop(name.lower()).drop_storage()
 
     def insert_rows(self, table_name: str, rows) -> int:
-        """Bulk-insert dictionaries into a table; returns the number inserted.
+        """Insert dictionaries into a table as one :class:`WriteBatch`;
+        returns the number inserted.
 
-        Every row is coerced and unique-checked (against the table and the
-        other rows) before any is applied, so bad input inserts nothing.
-        Each row is logged as its own WAL record.
+        All or none, logged as one WAL record: every row is coerced and
+        unique-checked (against the table and the other rows) before any is
+        placed, so bad input inserts nothing and logs nothing.
+        """
+        rows = list(rows)
+        batch = WriteBatch()
+        batch.insert(table_name, rows)
+        self.apply_batch(batch)
+        return len(rows)
+
+    def create_index(
+        self,
+        table_name: str,
+        name: str,
+        column: str,
+        unique: bool = False,
+        kind: str = "hash",
+    ):
+        """Build an index on ``table_name.column`` and log the build.
+
+        The one logged entry point for index builds (SQL ``CREATE INDEX``
+        and the Query Storage's own indexes).  Requesting an index the table
+        already has returns it and logs nothing; a failed WAL append drops
+        the fresh build before the error propagates.
         """
         self._assert_open()
         table = self.table(table_name)
-        prepared = table.prepare_rows(rows)
-        for row in prepared:
-            table.insert_prepared(row)
-        self._maybe_checkpoint()
-        return len(prepared)
+        schema_version = table.schema_version
+        index = table.create_index(name, column, unique=unique, kind=kind)
+        if self._wal is None or table.schema_version == schema_version:
+            return index  # in memory, or the index already existed
+        try:
+            self._wal.append({
+                "op": "create_index",
+                "tbl": table.name,
+                "name": name,
+                "column": index.column,
+                "unique": unique,
+                "kind": index.kind,
+            })
+        except BaseException:
+            table.drop_index(index)
+            raise
+        return index
 
     def apply_batch(self, batch: WriteBatch) -> None:
         """Apply every mutation of ``batch``, logged as **one** WAL record.
 
-        All or none: a rejected row (coercion, unique check) or a failed
+        The engine's only row write path: ``insert_rows``, every SQL
+        INSERT/UPDATE/DELETE statement and the Query Storage all build a
+        batch, so each is one record (none when nothing changed).  All or
+        none: a rejected row (coercion, unique check) or a failed
         WAL append undoes every mutation already applied before the error
         propagates.  Inserts into a table take consecutive row ids and are
         placed page by page; the record carries, per insert, the column
@@ -963,7 +996,6 @@ class Database:
         self, statement: InsertStatement, deadline: float | None = None
     ) -> QueryResult:
         table = self.table(statement.table)
-        count = 0
         stats = ExecutionStats(statement_kind="insert")
         target_columns = list(statement.columns) or table.schema.column_names
         if statement.select is not None:
@@ -981,11 +1013,10 @@ class Database:
                     f"{len(select_result.columns)} columns for "
                     f"{len(target_columns)} target columns"
                 )
-            for row in select_result.rows:
-                table.insert(dict(zip(target_columns, row)))
-                count += 1
+            rows = [dict(zip(target_columns, row)) for row in select_result.rows]
         else:
             scope = Scope({})
+            rows = []
             for row_exprs in statement.rows:
                 values = [evaluate(expr, scope, None) for expr in row_exprs]
                 if len(values) != len(target_columns):
@@ -993,10 +1024,12 @@ class Database:
                         f"INSERT into {statement.table!r} supplies {len(values)} values "
                         f"for {len(target_columns)} columns"
                     )
-                table.insert(dict(zip(target_columns, values)))
-                count += 1
-        stats.result_cardinality = count
-        return QueryResult(stats=stats, rowcount=count)
+                rows.append(dict(zip(target_columns, values)))
+        batch = WriteBatch()
+        batch.insert(table.name, rows)
+        self.apply_batch(batch)
+        stats.result_cardinality = len(rows)
+        return QueryResult(stats=stats, rowcount=len(rows))
 
     def _find_dml_targets(
         self, plan: DmlPlan, executor: Executor, deadline: float | None = None
@@ -1038,15 +1071,16 @@ class Database:
         table = self.table(statement.table)
         executor = Executor(self, deadline=deadline)
         plan, statement, cache_hit = self._plan_dml(statement, "update", prepared, text)
-        count = 0
+        batch = WriteBatch()
         for row_id, row in self._find_dml_targets(plan, executor, deadline):
             scope = Scope({statement.table: row})
             changes = {
                 column: evaluate(value, scope, executor._run_subquery)
                 for column, value in statement.assignments
             }
-            table.update(row_id, changes)
-            count += 1
+            batch.update(table.name, row_id, changes)
+        self.apply_batch(batch)
+        count = len(batch.ops)
         stats = ExecutionStats(
             statement_kind="update",
             result_cardinality=count,
@@ -1068,8 +1102,10 @@ class Database:
         executor = Executor(self, deadline=deadline)
         plan, statement, cache_hit = self._plan_dml(statement, "delete", prepared, text)
         doomed = self._find_dml_targets(plan, executor, deadline)
+        batch = WriteBatch()
         for row_id, _ in doomed:
-            table.delete(row_id)
+            batch.delete(table.name, row_id)
+        self.apply_batch(batch)
         stats = ExecutionStats(
             statement_kind="delete",
             result_cardinality=len(doomed),
@@ -1210,8 +1246,8 @@ class Database:
         return QueryResult(stats=ExecutionStats(statement_kind="alter_table"))
 
     def _execute_create_index(self, statement: CreateIndexStatement) -> QueryResult:
-        table = self.table(statement.table)
-        table.create_index(
+        self.create_index(
+            statement.table,
             statement.name,
             statement.column,
             unique=statement.unique,

@@ -17,10 +17,13 @@ here:
 4. hand the writer the valid log length so the torn tail is truncated before
    anything new is appended.
 
-Replay applies *logical* records through the same table code paths normal
-execution uses (the tables' WAL hooks are not attached yet, so nothing is
-re-logged), so indexes, statistics invalidation, and constraint bookkeeping
-are rebuilt rather than trusted.
+Replay applies *logical* records through the same unlogged ``Table``
+methods :meth:`~repro.storage.database.Database.apply_batch` uses (the
+write-ahead log is not attached yet, so nothing is re-logged), so indexes,
+statistics invalidation, and constraint bookkeeping are rebuilt rather than
+trusted.  Row changes arrive only inside ``batch`` records; a log holding
+the single-row records of older versions fails to open with the LSN of the
+first one (check-point such a ``data_dir`` with the version that wrote it).
 """
 
 from __future__ import annotations
@@ -213,7 +216,7 @@ def _restore_snapshot(database, snapshot: dict) -> None:
                     kind=index["kind"],
                 )
             for row_id, row in entry["rows"]:
-                table.restore_row(int(row_id), row)
+                table.place_rows(int(row_id), [schema.coerce_row(row)])
         table.restore_counters(
             next_row_id=int(entry["next_row_id"]),
             version=int(entry["version"]),
@@ -233,19 +236,20 @@ def _apply(database, record: WalRecord) -> None:
     data = record.data
     try:
         op = data["op"]
-        if op == "insert" and "rows" in data:
-            database.table(data["tbl"]).restore_rows(
-                int(data["rid"]), data["cols"], data["rows"]
-            )
-        elif op == "insert":
-            database.table(data["tbl"]).restore_row(int(data["rid"]), data["row"])
-        elif op == "batch":
+        if op == "batch":
             for entry in data["ops"]:
-                _apply(database, WalRecord(lsn=record.lsn, data=entry))
-        elif op == "update":
-            database.table(data["tbl"]).update(int(data["rid"]), data["set"])
-        elif op == "delete":
-            database.table(data["tbl"]).delete(int(data["rid"]))
+                table = database.table(entry["tbl"])
+                if entry["op"] == "insert":
+                    table.restore_rows(int(entry["rid"]), entry["cols"], entry["rows"])
+                elif entry["op"] == "update":
+                    table.apply_update(int(entry["rid"]), entry["set"])
+                elif entry["op"] == "delete":
+                    table.apply_delete(int(entry["rid"]))
+                else:
+                    raise DurabilityError(
+                        f"WAL replay failed at lsn {record.lsn}: unknown batch "
+                        f"entry op {entry['op']!r}"
+                    )
         elif op == "create_index":
             database.table(data["tbl"]).create_index(
                 data["name"],
@@ -272,7 +276,11 @@ def _apply(database, record: WalRecord) -> None:
                 timestamp=data.get("ts"),
             )
         else:
-            raise DurabilityError(f"unknown WAL op {op!r}")
+            raise DurabilityError(
+                f"WAL replay failed at lsn {record.lsn}: unknown record op {op!r} "
+                "(row changes are logged only inside batch records; check-point "
+                "a data_dir written by an older version with that version first)"
+            )
     except DurabilityError:
         raise
     except (StorageError, KeyError, TypeError, ValueError, OSError) as exc:

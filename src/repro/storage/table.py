@@ -64,12 +64,12 @@ class Table:
     hash index for equality probes and a B+-tree-backed sorted index for
     range scans and ordered access).
 
-    When the owning database is durable it sets ``wal_emit`` to the WAL
-    appender: every successful mutation — insert/update/delete plus index
-    builds — then emits one logical log record *after* it has been applied,
-    so crash recovery replays exactly the committed operations.  Mutations
-    applied through :meth:`Database.apply_batch` use the unlogged cores
-    below and are logged by the database, many rows to one record.
+    A table never logs.  Its mutators (``place_rows``, ``apply_update``,
+    ``apply_delete``, ``create_index``) and their undos are called only by
+    :class:`~repro.storage.database.Database` — which applies every row
+    change through :meth:`~repro.storage.database.Database.apply_batch` and
+    logs it there — and by crash recovery, which replays the log through the
+    same methods.
     """
 
     def __init__(
@@ -85,9 +85,6 @@ class Table:
         self._page_live: dict[int, int] = {}  # page ordinal -> live row count
         self._row_count = 0
         self._next_row_id = 0
-        #: Durability hook: ``callable(record_dict)`` appending to the WAL,
-        #: or None for an in-memory table (and during recovery replay).
-        self.wal_emit = None
         # column (lower-cased) → kind ("hash"/"sorted") → index
         self._indexes: dict[str, dict[str, HashIndex | SortedIndex]] = {}
         self._stats_cache: TableStatistics | None = None
@@ -314,26 +311,21 @@ class Table:
                                 store=self._store)
         else:
             index = index_class(name=name, column=canonical, unique=unique)
-        for row_id, row in self.scan():
-            index.insert(row[canonical], row_id)
+        try:
+            for row_id, row in self.scan():
+                index.insert(row[canonical], row_id)
+        except BaseException:
+            index.drop()  # e.g. a unique build over duplicates: free its pages
+            raise
         kinds[index_class.kind] = index
         self._bump(schema=True)
-        if self.wal_emit is not None:
-            try:
-                self.wal_emit(
-                    {
-                        "op": "create_index",
-                        "tbl": self.name,
-                        "name": name,
-                        "column": canonical,
-                        "unique": unique,
-                        "kind": index_class.kind,
-                    }
-                )
-            except BaseException:
-                kinds.pop(index_class.kind).drop()  # un-log-able: drop the build
-                raise
         return index
+
+    def drop_index(self, index: HashIndex | SortedIndex) -> None:
+        """Undo :meth:`create_index`: detach ``index`` and free its pages."""
+        del self._indexes[index.column.lower()][index.kind]
+        index.drop()
+        self._bump(schema=True)
 
     def index_definitions(self) -> list:
         """Every index in deterministic (column, kind) order — snapshotted so
@@ -372,10 +364,10 @@ class Table:
 
     # -- mutation -------------------------------------------------------------
     #
-    # Every mutation has an unlogged core (``place_rows`` / ``apply_update``
-    # / ``apply_delete``) that applies it and returns what undoing it needs,
-    # and an undo (``unplace_rows`` / ``undo_update`` / ``place_rows``).  The single-row public methods wrap a core with their own
-    # WAL record; :meth:`Database.apply_batch` wraps many cores with one.
+    # One unlogged method per mutation kind (``place_rows`` / ``apply_update``
+    # / ``apply_delete``) applies it and returns what undoing it needs; each
+    # has an undo (``unplace_rows`` / ``undo_update`` / ``place_rows``).
+    # :meth:`Database.apply_batch` wraps many of them in one WAL record.
 
     def prepare_rows(self, rows) -> list[dict[str, object]]:
         """Coerce ``rows`` and check every unique index; applies nothing.
@@ -426,30 +418,6 @@ class Table:
             self._discard_slot(first_row_id + offset)
         self._stats_cache = None
 
-    def insert(self, row: dict[str, object]) -> int:
-        """Insert a row, returning its row id."""
-        return self.insert_prepared(self.prepare_rows([row])[0])
-
-    def insert_prepared(self, row: dict[str, object]) -> int:
-        """Insert one row returned by :meth:`prepare_rows` as its own WAL
-        record; returns its row id."""
-        row_id = self._next_row_id
-        self.place_rows(row_id, [row])
-        if self.wal_emit is not None:
-            try:
-                self.wal_emit({"op": "insert", "tbl": self.name, "rid": row_id, "row": row})
-            except BaseException:
-                # The mutation could not be logged (full disk, closed WAL):
-                # undo it so live state never diverges from what recovery
-                # will rebuild.
-                self.unplace_rows(row_id, [row])
-                raise
-        return row_id
-
-    def restore_row(self, row_id: int, row: dict[str, object]) -> None:
-        """Recovery-path insert at a fixed row id (never WAL-logged)."""
-        self.place_rows(row_id, [self._schema.coerce_row(row)])
-
     def restore_rows(self, first_row_id: int, columns: list[str], value_lists) -> None:
         """Recovery: re-place the rows of one batch-record insert entry."""
         coerce = self._schema.coerce_row
@@ -478,23 +446,6 @@ class Table:
         self._stats_cache = None
         self.version += 1
         return row
-
-    def delete(self, row_id: int) -> None:
-        row = self.apply_delete(row_id)
-        if row is None or self.wal_emit is None:
-            return
-        try:
-            self.wal_emit({"op": "delete", "tbl": self.name, "rid": row_id})
-        except BaseException:
-            self.place_rows(row_id, [row])  # un-log-able: restore the row
-            raise
-
-    def delete_where(self, predicate) -> int:
-        """Delete rows matching ``predicate(row)``; returns the number removed."""
-        doomed = [row_id for row_id, row in self.scan() if predicate(row)]
-        for row_id in doomed:
-            self.delete(row_id)
-        return len(doomed)
 
     def apply_update(
         self, row_id: int, changes: dict[str, object]
@@ -544,19 +495,6 @@ class Table:
             if old_value != new_value:
                 index.delete(old_value, row_id)
                 index.insert(new_value, row_id)
-
-    def update(self, row_id: int, changes: dict[str, object]) -> None:
-        applied = self.apply_update(row_id, changes)
-        if applied is None or self.wal_emit is None:
-            return
-        old_row, changed = applied
-        try:
-            self.wal_emit({"op": "update", "tbl": self.name, "rid": row_id, "set": changed})
-        except BaseException:
-            # Un-log-able update: restore the old row and its index entries,
-            # so memory matches what recovery will rebuild.
-            self.undo_update(row_id, old_row)
-            raise
 
     # -- schema evolution ------------------------------------------------------
 

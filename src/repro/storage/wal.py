@@ -7,10 +7,12 @@ database's ``data_dir`` *after* it has been applied in memory, so that
 :mod:`repro.storage.recovery` can rebuild the exact committed state by
 replaying the log over the latest snapshot.
 
-Most records carry one row (``{"op": "insert", "tbl", "rid", "row"}``,
-``update``, ``delete``) or one DDL step.  A *batch* record
-(:meth:`~repro.storage.database.Database.apply_batch`) carries many row
-mutations over several tables as one unit::
+A record carries either one DDL step (``create_table``, ``drop_table``,
+``alter_table``, ``create_index``) or one *batch*: every row change —
+``insert_rows``, each SQL INSERT/UPDATE/DELETE statement, each Query
+Storage write — goes through
+:meth:`~repro.storage.database.Database.apply_batch`, which logs all its
+row mutations over several tables as one unit::
 
     {"op": "batch", "ops": [
         {"op": "insert", "tbl": T, "cols": [c1, ...], "rid": first,

@@ -28,68 +28,6 @@ def rules_of(diagnostics):
     return {d.rule for d in diagnostics}
 
 
-class TestWalPairing:
-    def test_unpaired_heap_mutation_fires(self, tmp_path):
-        diagnostics = lint_snippet(
-            tmp_path,
-            """
-            class Table:
-                def insert(self, row_id, row):
-                    self._rows[row_id] = row
-
-                def delete(self, row_id):
-                    try:
-                        del self._rows[row_id]
-                        self.wal_emit("delete", row_id)
-                    except BaseException:
-                        raise
-            """,
-        )
-        assert "wal-pairing" in rules_of(diagnostics)
-        assert len([d for d in diagnostics if d.rule == "wal-pairing"]) == 1
-
-    def test_guarded_mutation_is_clean(self, tmp_path):
-        diagnostics = lint_snippet(
-            tmp_path,
-            """
-            class Table:
-                def insert(self, row_id, row):
-                    try:
-                        self._rows[row_id] = row
-                        self.wal_emit("insert", row_id)
-                    except BaseException:
-                        del self._rows[row_id]
-                        raise
-            """,
-        )
-        assert "wal-pairing" not in rules_of(diagnostics)
-
-    def test_restore_methods_exempt(self, tmp_path):
-        diagnostics = lint_snippet(
-            tmp_path,
-            """
-            class Table:
-                def wal_hook(self):
-                    self.wal_emit("noop")
-
-                def restore_row(self, row_id, row):
-                    self._rows[row_id] = row
-            """,
-        )
-        assert "wal-pairing" not in rules_of(diagnostics)
-
-    def test_classes_without_wal_are_exempt(self, tmp_path):
-        diagnostics = lint_snippet(
-            tmp_path,
-            """
-            class Cache:
-                def put(self, key, value):
-                    self._rows[key] = value
-            """,
-        )
-        assert "wal-pairing" not in rules_of(diagnostics)
-
-
 class TestLockAcrossYield:
     def test_yield_under_lock_fires(self, tmp_path):
         diagnostics = lint_snippet(
@@ -350,9 +288,8 @@ class TestPagePinProtocol:
 
 
 class TestRuleCatalog:
-    def test_rules_are_the_six_engine_hazards(self):
+    def test_rules_are_the_five_engine_hazards(self):
         assert [rule.name for rule in RULES] == [
-            "wal-pairing",
             "lock-across-yield",
             "broad-except",
             "wall-clock",

@@ -35,6 +35,16 @@ def table_rows(db: Database, table: str) -> list[tuple]:
     return sorted(db.execute(f"SELECT * FROM {table}").rows)
 
 
+def assert_indexes_match_heap(table, probes=range(-1, 80)) -> None:
+    """Every index of ``table`` maps each probe value to exactly the heap
+    rows holding it: no phantom entry, no lost one."""
+    rows = list(table.scan())
+    for index in table.index_definitions():
+        for value in probes:
+            expected = {row_id for row_id, row in rows if row[index.column] == value}
+            assert index.lookup(value) == expected, (index.name, value)
+
+
 # ---------------------------------------------------------------------------
 # WAL encoding / decoding
 # ---------------------------------------------------------------------------
@@ -209,19 +219,21 @@ class TestDatabaseDurability:
         d = str(tmp_path / "db")
         with Database.open(d, wal_sync="batch", wal_group_size=16) as db:
             db.execute("CREATE TABLE t (id INTEGER)")
-            db.insert_rows("t", [{"id": i} for i in range(100)])
+            for i in range(100):
+                db.execute(f"INSERT INTO t VALUES ({i})")
             stats = db.wal_stats()
-            assert stats.records == 101  # create_table + 100 inserts
+            assert stats.records == 101  # create_table + 100 statements
             assert stats.flushes < stats.records  # grouped, not per-record
             assert stats.max_batch_records >= 16
             assert stats.avg_batch_records > 1.0
-        # commit policy syncs once per record instead.
+        # commit policy syncs once per record instead; a bulk insert_rows is
+        # one record, so one sync.
         d2 = str(tmp_path / "db2")
         with Database.open(d2, wal_sync="commit") as db:
             db.execute("CREATE TABLE t (id INTEGER)")
             db.insert_rows("t", [{"id": i} for i in range(10)])
             stats = db.wal_stats()
-            assert stats.syncs == stats.records == 11
+            assert stats.syncs == stats.records == 2
 
     def test_auto_checkpoint_interval(self, tmp_path):
         d = str(tmp_path / "db")
@@ -294,30 +306,39 @@ class TestDatabaseDurability:
         d = str(tmp_path / "db")
         db = Database.open(d, wal_sync="commit")
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.execute("CREATE INDEX t_v ON t (v)")
         db.insert_rows("t", [{"id": 1, "v": 10}, {"id": 2, "v": 20}])
         table = db.table("t")
+        before = table_rows(db, "t")
+        records = db.wal_stats().records
+
         # Simulate ENOSPC/EIO at the append layer.
         def boom(record):
             raise DurabilityError("disk full")
-        table.wal_emit = boom
+
+        original, db._wal.append = db._wal.append, boom
+        for sql in (
+            "INSERT INTO t VALUES (3, 30), (4, 40)",
+            "INSERT INTO t SELECT id + 10, v + 1 FROM t",
+            "UPDATE t SET v = v + 1",
+            "DELETE FROM t",
+            "CREATE INDEX t_v_sorted ON t (v) USING SORTED",
+        ):
+            with pytest.raises(DurabilityError):
+                db.execute(sql)
         with pytest.raises(DurabilityError):
-            table.insert({"id": 3, "v": 30})
-        with pytest.raises(DurabilityError):
-            table.update(0, {"v": 11})
-        with pytest.raises(DurabilityError):
-            table.delete(1)
-        with pytest.raises(DurabilityError):
-            table.create_index("t_v_sorted", "v", kind="sorted")
-        table.wal_emit = db._wal_append
-        assert sorted(r["id"] for r in table.rows()) == [1, 2]
-        assert table.get(0)["v"] == 10  # update rolled back
-        assert table.get(1)["v"] == 20  # delete rolled back
+            db.insert_rows("t", [{"id": 5, "v": 50}, {"id": 6, "v": 60}])
+        db._wal.append = original
+        assert table_rows(db, "t") == before
+        assert db.wal_stats().records == records
+        assert_indexes_match_heap(table)
         assert table.sorted_index_for("v") is None  # index build rolled back
-        # The primary-key index still agrees with the heap.
         assert db.execute("SELECT v FROM t WHERE id = 2").scalar() == 20
         db.close()
         with Database.open(d) as recovered:
-            assert sorted(r["id"] for r in recovered.table("t").rows()) == [1, 2]
+            assert table_rows(recovered, "t") == before
+            assert_indexes_match_heap(recovered.table("t"))
+            assert recovered.table("t").sorted_index_for("v") is None
 
     def test_failed_wal_append_never_applies_ddl(self, tmp_path):
         """DDL validates before logging: an append failure must leave neither
@@ -447,8 +468,10 @@ class TestLifecycle:
 
 
 def _apply_ops(db: Database, ops, lengths, states):
-    """Run single-row statements, recording the WAL length and expected table
-    contents after each one (``wal_sync='commit'`` flushes per record)."""
+    """Run statements, recording the WAL length and expected table contents
+    after each one (``wal_sync='commit'`` flushes per record).  Multi-row
+    INSERTs and range UPDATEs are one record each, so any cut of the log
+    recovers whole statements only."""
     path = wal_path(db.data_dir)
     shadow: dict[int, tuple] = {}
     next_key = 0
@@ -459,6 +482,20 @@ def _apply_ops(db: Database, ops, lengths, states):
             db.execute(f"INSERT INTO t (k, v) VALUES ({next_key}, {value})")
             shadow[next_key] = (next_key, value)
             next_key += 1
+        elif kind == "insert_many":
+            values = ", ".join(f"({next_key + i}, {value})" for i, value in enumerate(op[1]))
+            db.execute(f"INSERT INTO t (k, v) VALUES {values}")
+            for value in op[1]:
+                shadow[next_key] = (next_key, value)
+                next_key += 1
+        elif kind == "update_range" and shadow:
+            keys = sorted(shadow)
+            low = keys[op[1] % len(keys)]
+            high = low + op[2]
+            db.execute(f"UPDATE t SET v = v + 1 WHERE k >= {low} AND k <= {high}")
+            for key in keys:
+                if low <= key <= high:
+                    shadow[key] = (key, shadow[key][1] + 1)
         elif kind == "update" and shadow:
             key = sorted(shadow)[op[1] % len(shadow)]
             value = op[2]
@@ -477,7 +514,12 @@ def _apply_ops(db: Database, ops, lengths, states):
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), st.integers(-100, 100)),
+        st.tuples(
+            st.just("insert_many"),
+            st.lists(st.integers(-100, 100), min_size=2, max_size=6),
+        ),
         st.tuples(st.just("update"), st.integers(0, 50), st.integers(-100, 100)),
+        st.tuples(st.just("update_range"), st.integers(0, 50), st.integers(1, 8)),
         st.tuples(st.just("delete"), st.integers(0, 50)),
     ),
     min_size=1,
@@ -531,7 +573,8 @@ class TestCrashRecoveryProperty:
         states: list[list[tuple]] = [[]]
         _apply_ops(
             db,
-            [("insert", i) for i in range(6)] + [("update", 2, 42), ("delete", 0)],
+            [("insert", i) for i in range(6)]
+            + [("insert_many", [7, 8, 9]), ("update", 2, 42), ("delete", 0)],
             lengths,
             states,
         )
@@ -543,6 +586,53 @@ class TestCrashRecoveryProperty:
             expected = states[-1] if cut == lengths[-1] else states[-2]
             with Database.open(d) as recovered:
                 assert table_rows(recovered, "t") == expected, f"cut at byte {cut}"
+
+
+    @pytest.mark.parametrize(
+        "tail",
+        [("insert_many", [7, 8, 9, 10]), ("update_range", 1, 3)],
+        ids=["multi_row_insert", "range_update"],
+    )
+    def test_every_byte_of_a_multi_row_statement(self, tmp_path, tail):
+        """A cut inside a multi-row statement's record drops the whole
+        statement: never some of its rows."""
+        d = str(tmp_path / "db")
+        db = Database.open(d, wal_sync="commit")
+        db.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+        lengths = [os.path.getsize(wal_path(d))]
+        states: list[list[tuple]] = [[]]
+        _apply_ops(db, [("insert_many", [1, 2, 3, 4, 5]), tail], lengths, states)
+        blob = open(wal_path(d), "rb").read()
+        db.close()
+        assert len(read_wal(wal_path(d)).records) == 3  # create + 2 statements
+        for cut in range(lengths[-2], lengths[-1] + 1):
+            with open(wal_path(d), "wb") as handle:
+                handle.write(blob[:cut])
+            expected = states[-1] if cut == lengths[-1] else states[-2]
+            with Database.open(d) as recovered:
+                assert table_rows(recovered, "t") == expected, f"cut at byte {cut}"
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"op": "insert", "tbl": "t", "rid": 0, "row": {"k": 1, "v": 1}},
+            {"op": "update", "tbl": "t", "rid": 0, "set": {"v": 2}},
+            {"op": "delete", "tbl": "t", "rid": 0},
+        ],
+        ids=["insert", "update", "delete"],
+    )
+    def test_single_row_record_fails_open_naming_its_lsn(self, tmp_path, record):
+        """Row changes are logged only inside batch records; a log written
+        before that holds single-row records, and replay must refuse them
+        loudly rather than skip them."""
+        d = str(tmp_path / "db")
+        with Database.open(d, wal_sync="commit") as db:
+            db.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+            lsn = db.wal_stats().last_lsn + 1
+        with open(wal_path(d), "ab") as handle:
+            handle.write(encode_record(lsn, record))
+        with pytest.raises(DurabilityError, match=f"lsn {lsn}: unknown record op"):
+            Database.open(d)
 
 
 # ---------------------------------------------------------------------------

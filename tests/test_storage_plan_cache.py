@@ -6,7 +6,7 @@ import pytest
 
 from repro.sql.canonicalize import ParamLiteral, collect_parameters, parameterize_statement
 from repro.sql.parser import parse
-from repro.storage.database import Database
+from repro.storage.database import Database, WriteBatch
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.types import DataType
 
@@ -174,8 +174,10 @@ class TestInvalidation:
         # churn itself must count against the staleness budget.
         db = make_db(rows=100)
         db.execute("SELECT COUNT(*) FROM Events WHERE ts > 5")
+        churn = WriteBatch()
         for i in range(100):
-            db.table("Events").update(i, {"ts": 5000.0 + i})
+            churn.update("Events", i, {"ts": 5000.0 + i})
+        db.apply_batch(churn)
         churned = db.execute("SELECT COUNT(*) FROM Events WHERE ts > 5")
         assert not churned.plan_cache_hit
         assert db.plan_cache_stats().invalidated_drift >= 1

@@ -1,4 +1,8 @@
-"""Tests for heap tables, indexes, and table-level schema evolution."""
+"""Tests for heap tables, indexes, and table-level schema evolution.
+
+A table never logs: these tests drive its unlogged mutators directly, the
+way :meth:`Database.apply_batch` and crash recovery do.
+"""
 
 import pytest
 
@@ -22,55 +26,66 @@ def make_table():
     )
 
 
+def insert(table, row):
+    """Prepare and place one row as ``Database.apply_batch`` does; returns
+    its row id."""
+    row_id = table.next_row_id
+    table.place_rows(row_id, table.prepare_rows([row]))
+    return row_id
+
+
 def seed(table):
-    table.insert({"id": 1, "name": "Washington", "state": "WA", "area": 87.6})
-    table.insert({"id": 2, "name": "Union", "state": "WA", "area": 2.3})
-    table.insert({"id": 3, "name": "Michigan", "state": "MI", "area": 58000.0})
+    insert(table, {"id": 1, "name": "Washington", "state": "WA", "area": 87.6})
+    insert(table, {"id": 2, "name": "Union", "state": "WA", "area": 2.3})
+    insert(table, {"id": 3, "name": "Michigan", "state": "MI", "area": 58000.0})
     return table
 
 
 class TestInsertDeleteUpdate:
     def test_insert_returns_increasing_row_ids(self):
         table = make_table()
-        first = table.insert({"id": 1, "name": "a", "state": "WA", "area": 1.0})
-        second = table.insert({"id": 2, "name": "b", "state": "WA", "area": 1.0})
+        first = insert(table, {"id": 1, "name": "a", "state": "WA", "area": 1.0})
+        second = insert(table, {"id": 2, "name": "b", "state": "WA", "area": 1.0})
         assert second == first + 1
         assert len(table) == 2
 
     def test_primary_key_uniqueness_enforced(self):
         table = seed(make_table())
         with pytest.raises(IntegrityError):
-            table.insert({"id": 1, "name": "dup", "state": "WA", "area": 1.0})
+            insert(table, {"id": 1, "name": "dup", "state": "WA", "area": 1.0})
 
     def test_unique_column_enforced(self):
         table = seed(make_table())
         with pytest.raises(IntegrityError):
-            table.insert({"id": 9, "name": "Union", "state": "OR", "area": 1.0})
+            insert(table, {"id": 9, "name": "Union", "state": "OR", "area": 1.0})
 
     def test_failed_insert_leaves_table_unchanged(self):
         table = seed(make_table())
         before = len(table)
         with pytest.raises(IntegrityError):
-            table.insert({"id": 1, "name": "x", "state": "WA", "area": 1.0})
+            insert(table, {"id": 1, "name": "x", "state": "WA", "area": 1.0})
         assert len(table) == before
 
     def test_delete_removes_row_and_index_entry(self):
         table = seed(make_table())
         row_id = next(rid for rid, row in table.scan() if row["id"] == 2)
-        table.delete(row_id)
+        table.apply_delete(row_id)
         assert len(table) == 2
         assert table.lookup("id", 2) == []
 
-    def test_delete_where(self):
+    def test_delete_undo_restores_row_and_index_entry(self):
         table = seed(make_table())
-        removed = table.delete_where(lambda row: row["state"] == "WA")
-        assert removed == 2
-        assert len(table) == 1
+        row_id = next(rid for rid, row in table.scan() if row["id"] == 1)
+        row = table.apply_delete(row_id)
+        assert table.apply_delete(row_id) is None  # already gone
+        table.place_rows(row_id, [row])
+        assert [rid for rid, _ in table.scan()] == [0, 1, 2]
+        assert table.lookup("id", 1)[0]["name"] == "Washington"
 
     def test_update_changes_values_and_indexes(self):
         table = seed(make_table())
         row_id = next(rid for rid, row in table.scan() if row["id"] == 2)
-        table.update(row_id, {"name": "Lake Union", "area": 3.5})
+        table.apply_update(row_id, {"name": "Lake Union", "area": 3.5})
         assert table.lookup("name", "Lake Union")[0]["area"] == 3.5
         assert table.lookup("name", "Union") == []
 
@@ -78,7 +93,7 @@ class TestInsertDeleteUpdate:
         table = seed(make_table())
         row_id = next(rid for rid, row in table.scan() if row["id"] == 2)
         with pytest.raises(IntegrityError):
-            table.update(row_id, {"name": "Washington"})
+            table.apply_update(row_id, {"name": "Washington"})
         # The old value is still findable after the failed update.
         assert table.lookup("name", "Union")[0]["id"] == 2
 
@@ -89,22 +104,22 @@ class TestInsertDeleteUpdate:
         table = seed(make_table())
         row_id = next(rid for rid, row in table.scan() if row["id"] == 2)
         with pytest.raises(IntegrityError):
-            table.update(row_id, {"id": 99, "name": "Washington"})
+            table.apply_update(row_id, {"id": 99, "name": "Washington"})
         assert table.lookup("id", 2)[0]["name"] == "Union"
         assert table.lookup("id", 99) == []
         assert table.lookup("name", "Union")[0]["id"] == 2
         # A re-insert of the rejected id must not hit a phantom index entry.
-        table.insert({"id": 99, "name": "New", "state": "OR", "area": 1.0})
+        insert(table, {"id": 99, "name": "New", "state": "OR", "area": 1.0})
 
     def test_insert_coerces_types(self):
         table = make_table()
-        table.insert({"id": "5", "name": "x", "state": "WA", "area": "2.5"})
+        insert(table, {"id": "5", "name": "x", "state": "WA", "area": "2.5"})
         row = table.lookup("id", 5)[0]
         assert row["area"] == 2.5
 
     def test_insert_unknown_column_raises(self):
         with pytest.raises(SchemaError):
-            make_table().insert({"id": 1, "nope": "x"})
+            insert(make_table(), {"id": 1, "nope": "x"})
 
 
 class TestIndexes:
@@ -130,7 +145,7 @@ class TestIndexes:
     def test_nulls_not_indexed(self):
         table = make_table()
         table.create_index("by_state", "state")
-        table.insert({"id": 10, "name": "n", "state": None, "area": 1.0})
+        insert(table, {"id": 10, "name": "n", "state": None, "area": 1.0})
         assert table.index_for("state").lookup(None) == set()
 
     def test_create_index_is_idempotent_for_matching_request(self):
@@ -160,16 +175,33 @@ class TestIndexes:
         assert table.index_for("area") is hash_index
         assert table.sorted_index_for("area") is sorted_index
         # Both kinds are maintained through mutations.
-        table.insert({"id": 7, "name": "Tahoe", "state": "CA", "area": 191.0})
+        insert(table, {"id": 7, "name": "Tahoe", "state": "CA", "area": 191.0})
         assert hash_index.lookup(191.0)
         assert sorted_index.lookup(191.0)
         row_id = next(rid for rid, row in table.scan() if row["id"] == 7)
-        table.update(row_id, {"area": 192.0})
+        table.apply_update(row_id, {"area": 192.0})
         assert not sorted_index.lookup(191.0)
         assert sorted_index.lookup(192.0)
-        table.delete(row_id)
+        table.apply_delete(row_id)
         assert not hash_index.lookup(192.0)
         assert not sorted_index.lookup(192.0)
+
+    def test_failed_unique_build_attaches_nothing_and_frees_its_pages(self):
+        table = seed(make_table())
+        resident = table.store.stats().resident
+        with pytest.raises(IntegrityError):
+            table.create_index("state_unique", "state", unique=True, kind="sorted")
+        assert table.sorted_index_for("state") is None
+        assert table.store.stats().resident == resident
+
+    def test_drop_index_undoes_create_index(self):
+        table = seed(make_table())
+        schema_version = table.schema_version
+        index = table.create_index("area_sorted", "area", kind="sorted")
+        table.drop_index(index)
+        assert table.sorted_index_for("area") is None
+        assert table.schema_version == schema_version + 2
+        assert table.create_index("area_sorted", "area", kind="sorted") is not index
 
     def test_sorted_index_backfills_existing_rows(self):
         table = seed(make_table())
@@ -225,7 +257,7 @@ class TestStatistics:
         table = seed(make_table())
         first = table.statistics()
         assert table.statistics() is first
-        table.insert({"id": 9, "name": "new", "state": "OR", "area": 4.0})
+        insert(table, {"id": 9, "name": "new", "state": "OR", "area": 4.0})
         assert table.statistics() is not first
 
     def test_statistics_row_count(self):

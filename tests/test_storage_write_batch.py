@@ -1,9 +1,10 @@
 """Atomic write batches: one WAL record per batch, all-or-none everywhere.
 
 Covers the :class:`~repro.storage.database.WriteBatch` primitive (apply,
-undo, log, replay), the atomicity of ``Database.insert_rows`` against bad
-input, the row-coercion fast path, and the Query Storage guarantee built on
-batches: after a crash at any byte, every qid is in all relations or none.
+undo, log, replay), the statements built on it (``Database.insert_rows``
+and every SQL INSERT/UPDATE/DELETE: all or nothing, one record each), the
+row-coercion fast path, and the Query Storage guarantee built on batches:
+after a crash at any byte, every qid is in all relations or none.
 """
 
 from __future__ import annotations
@@ -211,12 +212,115 @@ class TestInsertRowsAtomicity:
         with Database.open(d) as db:
             assert table_ids(db) == [1]
 
-    def test_good_rows_keep_one_record_each(self, tmp_path):
+    def test_good_rows_share_one_record(self, tmp_path):
         with Database.open(str(tmp_path / "db"), wal_sync="commit") as db:
             two_tables(db)
             records = db.wal_stats().records
             assert db.insert_rows("a", [{"id": i, "v": "x"} for i in range(4)]) == 4
-            assert db.wal_stats().records == records + 4
+            assert db.wal_stats().records == records + 1
+
+
+@pytest.fixture(params=["memory", "durable"])
+def unique_db(request, tmp_path):
+    """Rows (1, 1), (2, 2), (3, 12) in ``t`` with both columns unique, in an
+    in-memory database or a durable one (``wal_sync='commit'``)."""
+    d = str(tmp_path / "db")
+    db = Database() if request.param == "memory" else Database.open(d, wal_sync="commit")
+    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER UNIQUE)")
+    db.execute("INSERT INTO t VALUES (1, 1), (2, 2), (3, 12)")
+    yield db
+    db.close()
+
+
+def t_rows(db: Database) -> list[tuple]:
+    return sorted(db.execute("SELECT id, v FROM t").rows)
+
+
+def assert_unchanged_and_unlogged(db: Database, rows, records) -> None:
+    """``t`` still holds ``rows`` (through both unique indexes too), nothing
+    was logged, and a durable database recovers the same rows."""
+    assert t_rows(db) == rows
+    for key, v in rows:
+        assert db.execute(f"SELECT v FROM t WHERE id = {key}").scalar() == v
+        assert db.execute(f"SELECT id FROM t WHERE v = {v}").scalar() == key
+    if not db.is_durable:
+        return
+    assert db.wal_stats().records == records
+    d = db.data_dir
+    db.close()
+    with Database.open(d) as recovered:
+        assert t_rows(recovered) == rows
+
+
+def wal_records(db: Database) -> int | None:
+    return db.wal_stats().records if db.is_durable else None
+
+
+class TestStatementAtomicity:
+    """Each SQL DML statement is one batch: it applies wholly or not at all."""
+
+    def test_multi_row_insert_with_duplicate_in_last_row_inserts_nothing(
+        self, unique_db
+    ):
+        before, records = t_rows(unique_db), wal_records(unique_db)
+        with pytest.raises(IntegrityError):
+            unique_db.execute("INSERT INTO t VALUES (4, 4), (5, 5), (1, 6)")
+        assert_unchanged_and_unlogged(unique_db, before, records)
+
+    def test_update_violating_unique_on_second_row_leaves_first_unchanged(
+        self, unique_db
+    ):
+        before, records = t_rows(unique_db), wal_records(unique_db)
+        with pytest.raises(IntegrityError):
+            # id 1 -> v 11 is fine; id 2 -> v 12 collides with id 3.
+            unique_db.execute("UPDATE t SET v = v + 10 WHERE id <= 2")
+        assert_unchanged_and_unlogged(unique_db, before, records)
+
+    def test_delete_that_fails_on_its_second_row_leaves_every_row(self, unique_db):
+        """Durable: logging the second row (row id 1) fails.  In memory there
+        is no log, so deleting that row from the heap raises instead."""
+        before, records = t_rows(unique_db), wal_records(unique_db)
+        if unique_db.is_durable:
+            target, name = unique_db._wal, "append"
+        else:
+            target, name = unique_db.table("t"), "apply_delete"
+        original = getattr(target, name)
+
+        def failing(subject):
+            if isinstance(subject, dict):  # a WAL record: one row or a batch
+                row_ids = [entry.get("rid") for entry in subject.get("ops", [subject])]
+            else:
+                row_ids = [subject]
+            if 1 in row_ids:
+                raise DurabilityError("disk full")
+            return original(subject)
+
+        setattr(target, name, failing)
+        with pytest.raises(DurabilityError):
+            unique_db.execute("DELETE FROM t WHERE id <= 2")
+        delattr(target, name)  # back to the class method
+        assert_unchanged_and_unlogged(unique_db, before, records)
+
+    def test_each_statement_is_one_record_and_one_sync(self, tmp_path):
+        with Database.open(str(tmp_path / "db"), wal_sync="commit") as db:
+            db.execute("CREATE TABLE t (id INTEGER, v INTEGER)")
+            stats = db.wal_stats()
+            for sql in (
+                "INSERT INTO t VALUES (1, 1), (2, 2), (3, 3), (4, 4)",
+                "INSERT INTO t SELECT id + 10, v FROM t",
+                "UPDATE t SET v = v * 2 WHERE id > 2",
+                "DELETE FROM t WHERE v > 4",
+            ):
+                records, syncs = stats.records, stats.syncs
+                assert db.execute(sql).rowcount > 1
+                assert (stats.records, stats.syncs) == (records + 1, syncs + 1), sql
+            records = stats.records
+            db.execute("DELETE FROM t WHERE id > 1000")  # changes nothing
+            assert stats.records == records
+            expected = sorted(db.execute("SELECT * FROM t").rows)
+            d = db.data_dir
+        with Database.open(d) as recovered:
+            assert sorted(recovered.execute("SELECT * FROM t").rows) == expected
 
 
 def table_ids(db: Database) -> list[int]:
